@@ -46,9 +46,12 @@ from .detect import (
     METHOD_ICSS,
     METHOD_OLS,
     DetectionResult,
+    OrientedTrace,
+    detect_oriented,
     detect_with_orientation,
     icss_detect,
     ols_detect,
+    orient,
 )
 from .errors import (
     ConfigError,
@@ -62,6 +65,7 @@ from .errors import (
     InvalidGamma,
     InvalidParameter,
     NonFiniteSample,
+    NonFiniteTrace,
     NonPositiveForLog,
     ParseError,
     ScaleShiftError,
@@ -97,7 +101,7 @@ __all__ = [
     "InvalidParameter", "InvalidAlpha", "InvalidGamma", "DegenerateScale",
     "WindowTooSmall", "ZeroTotalSumOfSquares", "IndexOutOfRange", "ConfigError",
     "EmptyInput", "ParseError", "EmptyColumn", "NonPositiveForLog",
-    "TooShortAfterPreprocess",
+    "TooShortAfterPreprocess", "NonFiniteTrace",
     # estimators
     "BmidConfig", "QcvBounds", "sample_mean", "sample_variance", "sample_median",
     "mad", "bmid_variance", "qcv_variance",
@@ -106,7 +110,8 @@ __all__ = [
     "ScaleEstimatorSpec", "CssTrace", "classical_css", "robust_css",
     "reverse_sample", "detect_orientation", "constant_prefix_check",
     # detect
-    "METHOD_ICSS", "METHOD_OLS", "DetectionResult", "icss_detect", "ols_detect",
+    "METHOD_ICSS", "METHOD_OLS", "DetectionResult", "OrientedTrace",
+    "icss_detect", "ols_detect", "orient", "detect_oriented",
     "detect_with_orientation",
     # simulate
     "make_rng", "StableSpec", "MixtureSpec", "sample_symmetric_stable",

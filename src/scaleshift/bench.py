@@ -22,9 +22,11 @@ from .css import ScaleEstimatorSpec, classical_css
 from .detect import (
     METHOD_ICSS,
     METHOD_OLS,
+    detect_oriented,
     detect_with_orientation,
     icss_detect,
     ols_detect,
+    orient,
 )
 from .errors import ConfigError, EmptyInput, IndexOutOfRange, ScaleShiftError
 from .simulate import MixtureSpec, StableSpec, gen_mixture_series, gen_stable_series
@@ -178,6 +180,33 @@ def run_detection(method: Method, values) -> int:
     return det.change_point
 
 
+def _outcome(fn, *args):
+    """``fn(*args)``, or the ScaleShiftError it raised."""
+    try:
+        return fn(*args)
+    except ScaleShiftError as exc:
+        return exc
+
+
+def _detect_all(methods, values) -> list:
+    """Each method's change point on one series, or the ScaleShiftError it
+    raised.  Robust methods that share an estimator run on one oriented
+    trace, so each robust trace is built once per series."""
+    oriented = {}
+
+    def detect(method):
+        est = method.estimator
+        if not est.is_robust:
+            return run_detection(method, values)
+        if est not in oriented:
+            oriented[est] = _outcome(orient, values, est)
+        if isinstance(oriented[est], ScaleShiftError):
+            raise oriented[est]  # every detector of est fails alike
+        return detect_oriented(oriented[est], method.detector).change_point
+
+    return [_outcome(detect, m) for m in methods]
+
+
 @dataclass(frozen=True)
 class MaeRow:
     grid_label: str
@@ -219,9 +248,10 @@ def run_mae_study(cfg: BenchConfig, _detect_fn=None) -> MaeReport:
     failures and excluded from the mean, never imputed.
 
     ``_detect_fn(method, values, truth)`` is a test hook replacing the real
-    detection; the default runs :func:`run_detection`.
+    detection.  By default every robust trace is built once per (trial,
+    estimator) and shared by all detectors of that estimator; results equal
+    :func:`run_detection` per method.
     """
-    detect_fn = _detect_fn or (lambda method, values, truth: run_detection(method, values))
     rows = []
     for spec in cfg.grid:
         gp = grid_point_id(spec)
@@ -229,19 +259,21 @@ def run_mae_study(cfg: BenchConfig, _detect_fn=None) -> MaeReport:
         seeds = tuple(
             trial_seed(cfg.base_seed, gp, t) for t in range(cfg.trials)
         )
-        series = []
-        for s in seeds:
+        detections = [[] for _ in cfg.methods]
+        failures = [[] for _ in cfg.methods]
+        for t, s in enumerate(seeds):
             x, _ = _generate(dataclasses.replace(spec, seed=s))
-            series.append(x)
-        for method in cfg.methods:
-            detections: list[int] = []
-            failures: list[tuple[int, str]] = []
-            for t, x in enumerate(series):
-                try:
-                    detections.append(int(detect_fn(method, x, truth)))
-                except ScaleShiftError as exc:
-                    failures.append((t, type(exc).__name__))
-            errors = [abs(d - truth) for d in detections]
+            if _detect_fn is None:
+                outcomes = _detect_all(cfg.methods, x)
+            else:
+                outcomes = [_outcome(_detect_fn, m, x, truth) for m in cfg.methods]
+            for i, o in enumerate(outcomes):
+                if isinstance(o, ScaleShiftError):
+                    failures[i].append((t, type(o).__name__))
+                else:
+                    detections[i].append(int(o))
+        for method, found, failed in zip(cfg.methods, detections, failures):
+            errors = [abs(d - truth) for d in found]
             mae = float(np.mean(errors)) if errors else math.nan
             rows.append(
                 MaeRow(
@@ -250,11 +282,11 @@ def run_mae_study(cfg: BenchConfig, _detect_fn=None) -> MaeReport:
                     method=method.label,
                     truth=truth,
                     mae=mae,
-                    summary=summarize_boxplot(detections)
-                    if detections
+                    summary=summarize_boxplot(found)
+                    if found
                     else BoxplotSummary(*(math.nan,) * 5),
-                    detections=tuple(detections),
-                    failures=tuple(failures),
+                    detections=tuple(found),
+                    failures=tuple(failed),
                     seeds=seeds,
                 )
             )

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bench as bench_mod
-from .css import CssTrace, ScaleEstimatorSpec, classical_css, robust_css
+from .css import ScaleEstimatorSpec, classical_css, robust_css
 from .detect import (
     METHOD_ICSS,
     METHOD_OLS,
@@ -97,16 +97,11 @@ def parse_preprocess_spec(text: str) -> PreprocessSpec:
         elif name in ("difference", "diff"):
             if len(parts) != 2:
                 raise ConfigError(f"difference needs an order: {token!r}")
-            k = int(parts[1])
-            if k < 1:
-                raise ConfigError(f"difference order must be >= 1, got {k}")
-            steps.append(("difference", k))
+            steps.append(("difference", _step_int(parts[1], "difference order")))
         elif name in ("aggregate", "agg"):
             if len(parts) not in (2, 3):
                 raise ConfigError(f"aggregate needs a block size: {token!r}")
-            b = int(parts[1])
-            if b < 1:
-                raise ConfigError(f"aggregate block must be >= 1, got {b}")
+            b = _step_int(parts[1], "aggregate block")
             reducer = parts[2].lower() if len(parts) == 3 else "mean"
             if reducer not in ("mean", "median"):
                 raise ConfigError(f"unknown reducer {reducer!r}")
@@ -114,6 +109,16 @@ def parse_preprocess_spec(text: str) -> PreprocessSpec:
         else:
             raise ConfigError(f"unknown preprocessing step {token!r}")
     return PreprocessSpec(steps=tuple(steps))
+
+
+def _step_int(text: str, what: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise ConfigError(f"{what} must be an integer, got {text!r}") from None
+    if value < 1:
+        raise ConfigError(f"{what} must be >= 1, got {value}")
+    return value
 
 
 def ingest_csv(path, column=1) -> TimeSeries:
@@ -309,16 +314,6 @@ def _fmt(x) -> str:
     return format(float(x), ".17g")
 
 
-def _json_ready(obj):
-    if isinstance(obj, float):
-        return float(format(obj, ".17g"))
-    if isinstance(obj, dict):
-        return {k: _json_ready(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_json_ready(v) for v in obj]
-    return obj
-
-
 def _estimator_from_args(args) -> ScaleEstimatorSpec:
     if args.estimator == "classical":
         return ScaleEstimatorSpec.classical()
@@ -347,15 +342,13 @@ def _cmd_detect(args) -> int:
             threshold=args.prefix_threshold,
             exact_naive=args.exact_naive,
         )
-        trace = _trace_for_result(ts.values, spec, result, args.exact_naive)
     else:
         trace = (
             classical_css(ts.values)
             if not spec.is_robust
             else robust_css(ts.values, spec, exact_naive=args.exact_naive)
         )
-        det = icss_detect(trace) if args.method == METHOD_ICSS else ols_detect(trace)
-        result = det
+        result = icss_detect(trace) if args.method == METHOD_ICSS else ols_detect(trace)
     payload = {
         "change_point": result.change_point,
         "method": result.method,
@@ -367,32 +360,24 @@ def _cmd_detect(args) -> int:
         "source": ts.source,
         "preprocessing": list(ts.preprocessing),
     }
-    text = json.dumps(_json_ready(payload), indent=2)
+    text = json.dumps(bench_mod._round17(payload), indent=2)
     if args.output:
         with open(args.output, "w") as fh:
             fh.write(text + "\n")
     else:
         print(text)
     if args.trace_csv:
-        _write_trace_csv(args.trace_csv, trace, result)
+        _write_trace_csv(args.trace_csv, result)
     return 0
 
 
-def _trace_for_result(values, spec, result: DetectionResult, exact_naive) -> CssTrace:
-    """Rebuild the trace the detector scanned (reversed when it did)."""
-    from .css import reverse_sample
-
-    data = reverse_sample(values) if result.reversed_applied else values
-    return robust_css(
-        data, spec, exact_naive=exact_naive, mark_reversed=result.reversed_applied
-    )
-
-
-def _write_trace_csv(path, trace: CssTrace, result: DetectionResult) -> None:
+def _write_trace_csv(path, result: DetectionResult) -> None:
+    """The scanned trace and statistic, in scan order, one row per index."""
     with open(path, "w", newline="") as fh:
         w = csv_mod.writer(fh)
         w.writerow(["n", "css", "statistic"])
-        for i, (cv, sv) in enumerate(zip(trace.values, result.statistic_trace), 1):
+        rows = zip(result.trace.values, result.statistic_trace)
+        for i, (cv, sv) in enumerate(rows, 1):
             w.writerow([i, _fmt(cv), "" if math.isnan(sv) else _fmt(sv)])
 
 
@@ -459,9 +444,7 @@ def _cmd_bench(args) -> int:
                 )
     else:
         if args.n_list:
-            cfg = dataclasses.replace(
-                cfg, n_list=tuple(int(v) for v in args.n_list.split(","))
-            )
+            cfg = dataclasses.replace(cfg, n_list=_parse_n_list(args.n_list))
         report = bench_mod.run_timing_study(cfg)
         if args.output_csv:
             bench_mod.write_timing_csv(report, args.output_csv)
@@ -471,6 +454,15 @@ def _cmd_bench(args) -> int:
             for label, beta in report.exponents:
                 print(f"{label}: beta={_fmt(beta)}")
     return 0
+
+
+def _parse_n_list(text: str) -> tuple[int, ...]:
+    try:
+        return tuple(int(v) for v in text.split(","))
+    except ValueError:
+        raise ConfigError(
+            f"--n-list must be comma-separated integers, got {text!r}"
+        ) from None
 
 
 def _explicit_bench_config(args, base_seed) -> bench_mod.BenchConfig:
@@ -610,11 +602,13 @@ def main(argv=None) -> int:
             payload["line"] = exc.line
         print(json.dumps(payload), file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
-        print(
-            json.dumps({"error": "FileNotFound", "message": str(exc)}),
-            file=sys.stderr,
+    except OSError as exc:
+        name = (
+            "FileNotFound"
+            if isinstance(exc, FileNotFoundError)
+            else type(exc).__name__
         )
+        print(json.dumps({"error": name, "message": str(exc)}), file=sys.stderr)
         return 2
 
 

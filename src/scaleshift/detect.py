@@ -8,6 +8,7 @@ combined sum of squared residuals.
 """
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,15 +22,23 @@ from .css import (
     reverse_sample,
     robust_css,
 )
-from .errors import InsufficientLength, InvalidParameter, ZeroTotalSumOfSquares
+from .errors import (
+    InsufficientLength,
+    InvalidParameter,
+    NonFiniteTrace,
+    ZeroTotalSumOfSquares,
+)
 from .estimators import _as_sample
 
 __all__ = [
     "METHOD_ICSS",
     "METHOD_OLS",
     "DetectionResult",
+    "OrientedTrace",
     "icss_detect",
     "ols_detect",
+    "orient",
+    "detect_oriented",
     "detect_with_orientation",
 ]
 
@@ -45,7 +54,9 @@ class DetectionResult:
     for a series with a regime switch at n* it typically lands on n* - 1, the
     last index of the first regime).  When ``reversed_applied`` is set the
     index has already been mapped back to original-order indexing, while
-    ``statistic_trace`` remains in the order the detector actually scanned.
+    ``statistic_trace`` and ``trace`` (the CSS trace the detector scanned)
+    remain in the order the detector actually scanned: reversed when
+    ``reversed_applied`` is set.
     """
 
     change_point: int
@@ -55,6 +66,7 @@ class DetectionResult:
     reversed_applied: bool
     constant_prefix_fallback: bool
     statistic_at_cp: float
+    trace: CssTrace | None = None  # None only for results built by hand
 
     def __post_init__(self):
         n = self.statistic_trace.shape[0]
@@ -62,6 +74,16 @@ class DetectionResult:
             raise InvalidParameter(
                 f"change point {self.change_point} outside 2..{n - 1}"
             )
+
+
+def _require_finite(trace: CssTrace) -> None:
+    """Refuse a trace whose sums overflowed: its statistic would be NaN and
+    the argmax/argmin would silently report index 2."""
+    if not np.all(np.isfinite(trace.values)):
+        raise NonFiniteTrace(
+            "CSS trace is not finite (squares overflow float64); "
+            "rescale the series"
+        )
 
 
 def icss_detect(trace: CssTrace) -> DetectionResult:
@@ -74,6 +96,7 @@ def icss_detect(trace: CssTrace) -> DetectionResult:
     n_total = trace.source_length
     if n_total < 4:
         raise InsufficientLength("ICSS needs at least 4 points")
+    _require_finite(trace)
     c_total = float(trace.values[-1])
     if c_total == 0.0:
         raise ZeroTotalSumOfSquares("C_N = 0; ICSS statistic undefined")
@@ -88,6 +111,7 @@ def icss_detect(trace: CssTrace) -> DetectionResult:
         reversed_applied=False,
         constant_prefix_fallback=False,
         statistic_at_cp=float(s[cp - 1]),
+        trace=trace,
     )
 
 
@@ -122,6 +146,7 @@ def ols_detect(trace: CssTrace, *, exact_refit: bool = False) -> DetectionResult
     n_total = trace.source_length
     if n_total < 6:
         raise InsufficientLength("OLS split fitting needs at least 6 points")
+    _require_finite(trace)
     c = trace.values
     j = np.arange(1, n_total + 1, dtype=float)
     s = np.full(n_total, np.nan)
@@ -160,6 +185,7 @@ def ols_detect(trace: CssTrace, *, exact_refit: bool = False) -> DetectionResult
         reversed_applied=False,
         constant_prefix_fallback=False,
         statistic_at_cp=float(s[cp - 1]),
+        trace=trace,
     )
 
 
@@ -168,6 +194,80 @@ def _refit_ssr(x: np.ndarray, y: np.ndarray) -> float:
     coeffs = np.polyfit(x, y, 1)
     resid = y - np.polyval(coeffs, x)
     return float(np.sum(resid * resid))
+
+
+@dataclass(frozen=True, eq=False)
+class OrientedTrace:
+    """The CSS trace a detector should scan, as chosen by :func:`orient`.
+
+    ``trace`` is the trace of the reversed sample when ``reversed_applied``
+    is set, the forward trace otherwise.  ``constant_prefix_fallback``
+    records that the forward trace was convex but the reversed trace had the
+    constant-head signature, so the forward trace was kept.
+    """
+
+    trace: CssTrace
+    constant_prefix_fallback: bool = False
+
+    @property
+    def reversed_applied(self) -> bool:
+        return self.trace.reversed
+
+
+def orient(
+    values,
+    spec: ScaleEstimatorSpec | None = None,
+    *,
+    head_len: int = 6,
+    threshold: float = 0.05,
+    exact_naive: bool = False,
+) -> OrientedTrace:
+    """Build the robust trace, and reverse the sample when the trace is
+    convex (scale increases make the robust trace bend below its chord),
+    falling back to the original order when the reversed trace has the
+    constant-head signature.
+
+    Builds one trace, or two when the forward trace is convex.  Any number
+    of detectors can then run on the result with :func:`detect_oriented`.
+    """
+    spec = spec if spec is not None else ScaleEstimatorSpec.bmid()
+    arr = _as_sample(values, min_len=8, what="series")
+    trace = robust_css(arr, spec, exact_naive=exact_naive)
+    if detect_orientation(trace) is Orientation.CONVEX:
+        rev = robust_css(
+            reverse_sample(arr), spec, exact_naive=exact_naive, mark_reversed=True
+        )
+        if constant_prefix_check(rev, head_len=head_len, threshold=threshold):
+            return OrientedTrace(trace, constant_prefix_fallback=True)
+        return OrientedTrace(rev)
+    return OrientedTrace(trace)
+
+
+def _detector(method: str):
+    if method == METHOD_ICSS:
+        return icss_detect
+    if method == METHOD_OLS:
+        return ols_detect
+    raise InvalidParameter(f"unknown method {method!r}")
+
+
+def detect_oriented(oriented: OrientedTrace, method: str) -> DetectionResult:
+    """Run ICSS or OLS on an oriented trace and map the index back to the
+    original order.
+
+    The reversal mapping is n -> N - n + 1; it is applied only when the
+    detection actually ran on the reversed trace.
+    """
+    raw = _detector(method)(oriented.trace)
+    cp = raw.change_point
+    if oriented.reversed_applied:
+        cp = oriented.trace.source_length - cp + 1
+    return dataclasses.replace(
+        raw,
+        change_point=cp,
+        reversed_applied=oriented.reversed_applied,
+        constant_prefix_fallback=oriented.constant_prefix_fallback,
+    )
 
 
 def detect_with_orientation(
@@ -179,41 +279,10 @@ def detect_with_orientation(
     threshold: float = 0.05,
     exact_naive: bool = False,
 ) -> DetectionResult:
-    """Full robust pipeline: build the robust trace, reverse the sample when
-    the trace is convex (scale increases make the robust trace bend below its
-    chord), fall back to the original order when the reversed trace has the
-    constant-head signature, run the detector, and map the index back.
-
-    The reversal mapping is n -> N - n + 1; it is applied only when the
-    detection actually ran on the reversed trace.
-    """
-    if method not in (METHOD_ICSS, METHOD_OLS):
-        raise InvalidParameter(f"unknown method {method!r}")
-    spec = spec if spec is not None else ScaleEstimatorSpec.bmid()
-    arr = _as_sample(values, min_len=8, what="series")
-    trace = robust_css(arr, spec, exact_naive=exact_naive)
-    reversed_applied = False
-    fallback = False
-    if detect_orientation(trace) is Orientation.CONVEX:
-        rev = robust_css(
-            reverse_sample(arr), spec, exact_naive=exact_naive, mark_reversed=True
-        )
-        if constant_prefix_check(rev, head_len=head_len, threshold=threshold):
-            fallback = True
-        else:
-            trace = rev
-            reversed_applied = True
-    detector = icss_detect if method == METHOD_ICSS else ols_detect
-    raw = detector(trace)
-    cp = raw.change_point
-    if reversed_applied:
-        cp = arr.size - cp + 1
-    return DetectionResult(
-        change_point=cp,
-        method=method,
-        estimator=spec,
-        statistic_trace=raw.statistic_trace,
-        reversed_applied=reversed_applied,
-        constant_prefix_fallback=fallback,
-        statistic_at_cp=raw.statistic_at_cp,
+    """Full robust pipeline: :func:`orient` the sample, then
+    :func:`detect_oriented` with the given method."""
+    _detector(method)  # reject an unknown method before any trace is built
+    oriented = orient(
+        values, spec, head_len=head_len, threshold=threshold, exact_naive=exact_naive
     )
+    return detect_oriented(oriented, method)

@@ -2,7 +2,7 @@
 
 Every error raised by the library derives from :class:`ScaleShiftError`, so
 callers (including the CLI) can catch one type and map it to a machine-readable
-category.  Filesystem problems are left to the builtin ``FileNotFoundError``.
+category.  Filesystem problems are left to the builtin ``OSError`` family.
 """
 
 
@@ -44,6 +44,11 @@ class WindowTooSmall(ScaleShiftError):
 
 class ZeroTotalSumOfSquares(ScaleShiftError):
     """The ICSS statistic is undefined because C_N = 0 (all-zero series)."""
+
+
+class NonFiniteTrace(ScaleShiftError):
+    """A CSS trace holds inf or NaN, e.g. because the squares of a series
+    near 1e160 overflow; no detector statistic can be trusted on it."""
 
 
 class IndexOutOfRange(ScaleShiftError):

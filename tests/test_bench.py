@@ -194,6 +194,53 @@ class TestRunMaeStudy:
             assert len(row.seeds) == 3
 
 
+class TestSharedRobustTrace:
+    """Robust methods with one estimator share one oriented trace per trial."""
+
+    ROBUST = tuple(m for m in default_methods() if m.estimator.is_robust)
+
+    def test_at_most_two_scans_per_trial_and_estimator(self, robust_scans):
+        # a scale increase: every trial takes the reversal (two scans)
+        cfg = BenchConfig(
+            grid=(MixtureSpec(omega2=5.0, nu=25.0, p=0.05, N=200),),
+            methods=self.ROBUST,
+            trials=3,
+            base_seed=1,
+        )
+        run_mae_study(cfg)
+        assert set(robust_scans) == {"bmid", "qcv"}
+        assert all(count <= 2 * cfg.trials for count in robust_scans.values())
+
+    @pytest.mark.parametrize("n", [60, 7])
+    def test_outcomes_equal_per_method_detection(self, n):
+        # N=7 is too short for the robust pipeline: its failure is shared
+        from scaleshift.bench import run_detection
+
+        cfg = BenchConfig(
+            grid=(
+                StableSpec(alpha=1.5, gamma2=4.0, N=n, cp=n // 2),
+                StableSpec(alpha=1.5, gamma2=0.25, N=n, cp=n // 2),
+            ),
+            methods=default_methods(),
+            trials=3,
+            base_seed=3,
+        )
+
+        def one_by_one(method, values, truth):
+            return run_detection(method, values)
+
+        shared = run_mae_study(cfg)
+        separate = run_mae_study(cfg, _detect_fn=one_by_one)
+        for a, b in zip(shared.rows, separate.rows):
+            assert a.method == b.method
+            assert a.detections == b.detections
+            assert a.failures == b.failures
+        if n == 7:
+            assert all(
+                len(r.failures) == 3 for r in shared.rows if "[" in r.method
+            )
+
+
 class TestMedianCiRanks:
     def test_values(self):
         assert median_ci_ranks(5) is None

@@ -2,6 +2,7 @@
 import csv
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,7 +12,11 @@ from scaleshift import (
     EmptyColumn,
     NonPositiveForLog,
     ParseError,
+    ScaleEstimatorSpec,
     TooShortAfterPreprocess,
+    icss_detect,
+    reverse_sample,
+    robust_css,
 )
 from scaleshift.cli import (
     PreprocessSpec,
@@ -22,6 +27,9 @@ from scaleshift.cli import (
     parse_preprocess_spec,
     preprocess,
 )
+
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def _write(tmp_path, name, text):
@@ -99,7 +107,7 @@ class TestParsePreprocessSpec:
 
     def test_rejects_bad_steps(self):
         for bad in ("smooth:3", "difference", "diff:0", "agg:0", "agg:5:max",
-                    "log-returns:2"):
+                    "log-returns:2", "diff:x", "agg:y"):
             with pytest.raises(ConfigError):
                 parse_preprocess_spec(bad)
 
@@ -209,6 +217,21 @@ class TestDetectCommand:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "FileNotFound"
 
+    @pytest.mark.parametrize("step", ["diff:x", "agg:y"])
+    def test_non_integer_preprocess_argument_contract(self, fixture_csv, step, capsys):
+        rc = main(["detect", "--input", fixture_csv, "--preprocess", step])
+        assert rc == 2
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] == "ConfigError"
+
+    def test_directory_input_contract(self, tmp_path, capsys):
+        rc = main(["detect", "--input", str(tmp_path)])
+        assert rc == 2
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] == "IsADirectoryError"
+
     def test_parse_error_contract(self, tmp_path, capsys):
         path = _write(tmp_path, "bad.csv", "1.0\n2.0\noops\n")
         rc = main(["detect", "--input", path])
@@ -228,6 +251,39 @@ class TestDetectCommand:
         assert rc == 0
         payload = json.loads(capsys.readouterr().out)
         assert abs(payload["change_point"] - 499) <= 50
+
+
+class TestDetectScanCount:
+    """``--trace-csv`` writes the trace the detector scanned; it costs no
+    extra robust scan."""
+
+    def _detect(self, name, tmp_path):
+        trace_path = tmp_path / "trace.csv"
+        rc = main(["detect", "--input", str(FIXTURES / name), "--column", "2",
+                   "--trace-csv", str(trace_path)])
+        assert rc == 0
+        with open(trace_path, newline="") as fh:
+            rows = list(csv.reader(fh))[1:]
+        return rows
+
+    def test_reversed_detection_scans_twice(self, robust_scans, tmp_path, capsys):
+        self._detect("stable_up.csv", tmp_path)
+        assert json.loads(capsys.readouterr().out)["reversed_applied"] is True
+        assert sum(robust_scans.values()) == 2
+
+    def test_forward_detection_scans_once(self, robust_scans, tmp_path, capsys):
+        self._detect("stable_down.csv", tmp_path)
+        assert json.loads(capsys.readouterr().out)["reversed_applied"] is False
+        assert sum(robust_scans.values()) == 1
+
+    def test_trace_rows_are_the_oriented_scan(self, tmp_path, capsys):
+        rows = self._detect("stable_up.csv", tmp_path)
+        values = ingest_csv(str(FIXTURES / "stable_up.csv"), 2).values
+        trace = robust_css(reverse_sample(values), ScaleEstimatorSpec.bmid())
+        stat = icss_detect(trace).statistic_trace
+        assert [int(r[0]) for r in rows] == list(range(1, values.size + 1))
+        assert np.array_equal([float(r[1]) for r in rows], trace.values)
+        assert np.array_equal([float(r[2]) for r in rows], stat)
 
 
 class TestSimulateCommand:
@@ -341,6 +397,14 @@ class TestBenchCommand:
         assert set(payload["exponents"]) == {
             "ICSS", "ICSS[BMID]", "ICSS[QCV]", "OLS", "OLS[BMID]", "OLS[QCV]"
         }
+
+    def test_non_integer_n_list_contract(self, capsys):
+        rc = main(["bench", "timing", "--model", "mixture", "--omega2", "5",
+                   "--nu", "15", "--p", "0.05", "--n-list", "a,b"])
+        assert rc == 2
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] == "ConfigError"
 
     def test_model_required_without_preset(self, capsys):
         rc = main(["bench", "mae"])

@@ -8,14 +8,18 @@ from scaleshift import (
     DetectionResult,
     InsufficientLength,
     InvalidParameter,
+    NonFiniteTrace,
     Orientation,
     ScaleEstimatorSpec,
     ZeroTotalSumOfSquares,
     classical_css,
+    detect_oriented,
     detect_orientation,
     detect_with_orientation,
     icss_detect,
     ols_detect,
+    orient,
+    reverse_sample,
     robust_css,
 )
 from scaleshift.simulate import StableSpec, gen_stable_series, make_rng
@@ -214,3 +218,97 @@ class TestDetectWithOrientation:
     def test_unknown_method_rejected(self):
         with pytest.raises(InvalidParameter):
             detect_with_orientation(make_rng(0).standard_normal(50), "cusum")
+
+
+def _spiky_tail(k=5, n=300):
+    """A few huge points at the end: the forward robust trace is convex, but
+    the reversed one has the constant-head signature."""
+    x = make_rng(0).standard_normal(n)
+    x[-k:] *= 1000.0
+    return x
+
+
+class TestOrient:
+    def test_reversed_trace_is_the_reversed_scan(self):
+        series, _ = gen_stable_series(
+            StableSpec(alpha=1.8, gamma2=2.0, N=400, cp=200, seed=14)
+        )
+        spec = ScaleEstimatorSpec.qcv()
+        o = orient(series, spec)
+        assert o.reversed_applied and not o.constant_prefix_fallback
+        assert o.trace.reversed
+        assert np.array_equal(
+            o.trace.values, robust_css(reverse_sample(series), spec).values
+        )
+
+    def test_forward_trace_kept(self):
+        series, _ = gen_stable_series(
+            StableSpec(alpha=1.8, gamma2=0.25, N=400, cp=200, seed=14)
+        )
+        o = orient(series)
+        assert not o.reversed_applied and not o.constant_prefix_fallback
+        assert np.array_equal(
+            o.trace.values, robust_css(series, ScaleEstimatorSpec.bmid()).values
+        )
+
+    def test_constant_prefix_fallback_keeps_forward_trace(self):
+        x = _spiky_tail()
+        spec = ScaleEstimatorSpec.bmid()
+        assert detect_orientation(robust_css(x, spec)) is Orientation.CONVEX
+        o = orient(x, spec)
+        assert o.constant_prefix_fallback and not o.reversed_applied
+        assert not o.trace.reversed
+        assert np.array_equal(o.trace.values, robust_css(x, spec).values)
+
+    @pytest.mark.parametrize("gamma2", [2.0, 0.25])
+    def test_one_trace_serves_both_detectors(self, gamma2):
+        series, _ = gen_stable_series(
+            StableSpec(alpha=1.8, gamma2=gamma2, N=400, cp=200, seed=14)
+        )
+        spec = ScaleEstimatorSpec.bmid()
+        o = orient(series, spec)
+        for method in (METHOD_ICSS, METHOD_OLS):
+            shared = detect_oriented(o, method)
+            alone = detect_with_orientation(series, method, spec)
+            assert shared.change_point == alone.change_point
+            assert shared.reversed_applied == alone.reversed_applied
+            assert shared.statistic_at_cp == alone.statistic_at_cp
+            assert np.array_equal(
+                shared.statistic_trace, alone.statistic_trace, equal_nan=True
+            )
+            assert shared.trace is o.trace
+            assert np.array_equal(alone.trace.values, o.trace.values)
+
+    def test_fallback_result_flags(self):
+        res = detect_with_orientation(_spiky_tail(), METHOD_OLS)
+        assert res.constant_prefix_fallback and not res.reversed_applied
+        assert not res.trace.reversed
+
+    def test_unknown_method_rejected(self):
+        with pytest.raises(InvalidParameter):
+            detect_oriented(orient(_spiky_tail()), "cusum")
+
+
+class TestNonFiniteTrace:
+    """Squares of |x| ~ 1e160 overflow float64; the detectors must refuse
+    the trace instead of reporting index 2 with a NaN statistic."""
+
+    @pytest.fixture()
+    def huge(self):
+        return 1e160 * _two_regime_gaussian(n=200, cp=100)
+
+    def test_classical_detectors(self, huge):
+        with np.errstate(over="ignore", invalid="ignore"):
+            trace = classical_css(huge)
+            for detector in (icss_detect, ols_detect):
+                with pytest.raises(NonFiniteTrace):
+                    detector(trace)
+
+    @pytest.mark.parametrize("method", [METHOD_ICSS, METHOD_OLS])
+    @pytest.mark.parametrize(
+        "spec", [ScaleEstimatorSpec.bmid(), ScaleEstimatorSpec.qcv()]
+    )
+    def test_robust_pipeline(self, huge, method, spec):
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NonFiniteTrace):
+                detect_with_orientation(huge, method, spec)
