@@ -18,14 +18,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .css import ScaleEstimatorSpec, classical_css
+from .css import ScaleEstimatorSpec
 from .detect import (
     METHOD_ICSS,
     METHOD_OLS,
     detect_oriented,
     detect_with_orientation,
-    icss_detect,
-    ols_detect,
     orient,
 )
 from .errors import ConfigError, EmptyInput, IndexOutOfRange, ScaleShiftError
@@ -168,18 +166,6 @@ def _generate(spec):
     raise ConfigError(f"unsupported generator spec {type(spec).__name__}")
 
 
-def run_detection(method: Method, values) -> int:
-    """Detect with the given method; classical methods run the plain
-    detector, robust ones the orientation-corrected pipeline."""
-    if method.estimator.is_robust:
-        return detect_with_orientation(
-            values, method.detector, method.estimator
-        ).change_point
-    trace = classical_css(values)
-    det = icss_detect(trace) if method.detector == METHOD_ICSS else ols_detect(trace)
-    return det.change_point
-
-
 def _outcome(fn, *args):
     """``fn(*args)``, or the ScaleShiftError it raised."""
     try:
@@ -190,14 +176,12 @@ def _outcome(fn, *args):
 
 def _detect_all(methods, values) -> list:
     """Each method's change point on one series, or the ScaleShiftError it
-    raised.  Robust methods that share an estimator run on one oriented
-    trace, so each robust trace is built once per series."""
+    raised.  Methods that share an estimator run on one oriented trace, so
+    each trace is built once per series."""
     oriented = {}
 
     def detect(method):
         est = method.estimator
-        if not est.is_robust:
-            return run_detection(method, values)
         if est not in oriented:
             oriented[est] = _outcome(orient, values, est)
         if isinstance(oriented[est], ScaleShiftError):
@@ -248,9 +232,9 @@ def run_mae_study(cfg: BenchConfig, _detect_fn=None) -> MaeReport:
     failures and excluded from the mean, never imputed.
 
     ``_detect_fn(method, values, truth)`` is a test hook replacing the real
-    detection.  By default every robust trace is built once per (trial,
-    estimator) and shared by all detectors of that estimator; results equal
-    :func:`run_detection` per method.
+    detection.  By default every trace is built once per (trial, estimator)
+    and shared by all detectors of that estimator; results equal
+    :func:`detect_with_orientation` per method.
     """
     rows = []
     for spec in cfg.grid:
@@ -367,7 +351,7 @@ def run_timing_study(cfg: BenchConfig) -> TimingReport:
             times = []
             for t, x in enumerate(series):
                 t0 = time.perf_counter()
-                run_detection(method, x)
+                detect_with_orientation(x, method.detector, method.estimator)
                 elapsed = time.perf_counter() - t0
                 if t > 0:
                     times.append(elapsed)
@@ -402,7 +386,8 @@ def run_timing_study(cfg: BenchConfig) -> TimingReport:
 
 def _fmt(value) -> str:
     if isinstance(value, float):
-        return format(value, ".17g")
+        # float() first: formatting an np.float64 directly is about 10% slower
+        return format(float(value), ".17g")
     return str(value)
 
 
@@ -431,16 +416,6 @@ def write_mae_csv(report: MaeReport, path) -> None:
             w.writerow(line)
 
 
-def _round17(obj):
-    if isinstance(obj, float):
-        return float(format(obj, ".17g"))
-    if isinstance(obj, dict):
-        return {k: _round17(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_round17(v) for v in obj]
-    return obj
-
-
 def write_mae_json(report: MaeReport, path) -> None:
     payload = {
         "trials": report.trials,
@@ -460,7 +435,7 @@ def write_mae_json(report: MaeReport, path) -> None:
         ],
     }
     with open(path, "w") as fh:
-        json.dump(_round17(payload), fh, indent=2)
+        json.dump(payload, fh, indent=2)
 
 
 def write_detections_csv(report: MaeReport, path) -> None:
@@ -497,4 +472,4 @@ def write_timing_json(report: TimingReport, path) -> None:
         "rows": [dataclasses.asdict(r) for r in report.rows],
     }
     with open(path, "w") as fh:
-        json.dump(_round17(payload), fh, indent=2)
+        json.dump(payload, fh, indent=2)

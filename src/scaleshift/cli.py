@@ -14,6 +14,7 @@ environment variable ``SCALESHIFT_SEED`` provides the default seed/base-seed.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv as csv_mod
 import dataclasses
 import json
@@ -25,14 +26,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bench as bench_mod
-from .css import ScaleEstimatorSpec, classical_css, robust_css
+from .bench import _fmt
+from .css import ScaleEstimatorSpec
 from .detect import (
     METHOD_ICSS,
     METHOD_OLS,
+    ORIENTATIONS,
     DetectionResult,
     detect_with_orientation,
-    icss_detect,
-    ols_detect,
 )
 from .errors import (
     ConfigError,
@@ -310,10 +311,6 @@ def _default_seed() -> int:
         raise ConfigError(f"{SEED_ENV_VAR} must be an integer, got {raw!r}") from None
 
 
-def _fmt(x) -> str:
-    return format(float(x), ".17g")
-
-
 def _estimator_from_args(args) -> ScaleEstimatorSpec:
     if args.estimator == "classical":
         return ScaleEstimatorSpec.classical()
@@ -330,25 +327,15 @@ def _cmd_detect(args) -> int:
     if args.preprocess:
         ts = preprocess(ts, parse_preprocess_spec(args.preprocess))
     spec = _estimator_from_args(args)
-    use_orientation = (
-        spec.is_robust if args.orientation == "auto" else args.orientation == "on"
+    result = detect_with_orientation(
+        ts.values,
+        args.method,
+        spec,
+        orientation=args.orientation,
+        head_len=args.head_len,
+        threshold=args.prefix_threshold,
+        exact_naive=args.exact_naive,
     )
-    if use_orientation:
-        result = detect_with_orientation(
-            ts.values,
-            args.method,
-            spec,
-            head_len=args.head_len,
-            threshold=args.prefix_threshold,
-            exact_naive=args.exact_naive,
-        )
-    else:
-        trace = (
-            classical_css(ts.values)
-            if not spec.is_robust
-            else robust_css(ts.values, spec, exact_naive=args.exact_naive)
-        )
-        result = icss_detect(trace) if args.method == METHOD_ICSS else ols_detect(trace)
     payload = {
         "change_point": result.change_point,
         "method": result.method,
@@ -360,7 +347,7 @@ def _cmd_detect(args) -> int:
         "source": ts.source,
         "preprocessing": list(ts.preprocessing),
     }
-    text = json.dumps(bench_mod._round17(payload), indent=2)
+    text = json.dumps(payload, indent=2)
     if args.output:
         with open(args.output, "w") as fh:
             fh.write(text + "\n")
@@ -405,18 +392,17 @@ def _cmd_simulate(args) -> int:
             omega2=args.omega2, nu=args.nu, p=args.p, N=args.n, cp=args.cp, seed=seed
         )
         series, cp = gen_mixture_series(spec)
-    rows = [
-        (i, _fmt(v), 1 if i < cp else 2) for i, v in enumerate(series, start=1)
-    ]
-    if args.output:
-        with open(args.output, "w", newline="") as fh:
-            w = csv_mod.writer(fh)
-            w.writerow(["index", "value", "regime"])
-            w.writerows(rows)
-    else:
-        w = csv_mod.writer(sys.stdout)
+    out = (
+        open(args.output, "w", newline="")
+        if args.output
+        else contextlib.nullcontext(sys.stdout)
+    )
+    with out as fh:
+        w = csv_mod.writer(fh)
         w.writerow(["index", "value", "regime"])
-        w.writerows(rows)
+        w.writerows(
+            (i, _fmt(v), 1 if i < cp else 2) for i, v in enumerate(series, start=1)
+        )
     return 0
 
 
@@ -518,7 +504,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_det.add_argument("--qcv-b", type=float, default=0.9)
     p_det.add_argument(
         "--orientation",
-        choices=("auto", "on", "off"),
+        choices=ORIENTATIONS,
         default="auto",
         help="orientation correction; auto = on for robust estimators",
     )

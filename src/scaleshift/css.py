@@ -119,7 +119,6 @@ class CssTrace:
     values: np.ndarray
     estimator: ScaleEstimatorSpec
     source_length: int
-    reversed: bool = False
     degenerate_prefixes: tuple[int, ...] = field(default_factory=tuple)
 
     def __post_init__(self):
@@ -244,7 +243,6 @@ def robust_css(
     spec: ScaleEstimatorSpec,
     *,
     exact_naive: bool = False,
-    mark_reversed: bool = False,
 ) -> CssTrace:
     """Robust CSS trace: per prefix n >= 2, n*(var_r + med^2) - var_r.
 
@@ -270,7 +268,6 @@ def robust_css(
         values=out,
         estimator=spec,
         source_length=arr.size,
-        reversed=mark_reversed,
         degenerate_prefixes=degenerate,
     )
 

@@ -17,6 +17,7 @@ from .css import (
     CssTrace,
     Orientation,
     ScaleEstimatorSpec,
+    classical_css,
     constant_prefix_check,
     detect_orientation,
     reverse_sample,
@@ -44,6 +45,7 @@ __all__ = [
 
 METHOD_ICSS = "icss"
 METHOD_OLS = "ols"
+ORIENTATIONS = ("auto", "on", "off")
 
 
 @dataclass(frozen=True, eq=False)
@@ -207,39 +209,50 @@ class OrientedTrace:
     """
 
     trace: CssTrace
+    reversed_applied: bool = False
     constant_prefix_fallback: bool = False
-
-    @property
-    def reversed_applied(self) -> bool:
-        return self.trace.reversed
 
 
 def orient(
     values,
     spec: ScaleEstimatorSpec | None = None,
     *,
+    orientation: str = "auto",
     head_len: int = 6,
     threshold: float = 0.05,
     exact_naive: bool = False,
 ) -> OrientedTrace:
-    """Build the robust trace, and reverse the sample when the trace is
-    convex (scale increases make the robust trace bend below its chord),
-    falling back to the original order when the reversed trace has the
-    constant-head signature.
+    """Build the trace for ``spec`` (BMID by default) and choose its order.
+
+    ``orientation`` is ``"auto"`` (on for robust specs, off for the
+    classical one), ``"on"`` or ``"off"``; any other value raises
+    :class:`InvalidParameter`.  With orientation on, the sample is reversed
+    when its trace is convex (scale increases make the robust trace bend
+    below its chord), unless the reversed trace has the constant-head
+    signature; the classical spec then scans with the Welford form of the
+    robust trace, and the series needs at least 8 points.  With orientation
+    off, the classical spec gives :func:`classical_css` and a robust spec
+    its forward trace.
 
     Builds one trace, or two when the forward trace is convex.  Any number
     of detectors can then run on the result with :func:`detect_oriented`.
     """
     spec = spec if spec is not None else ScaleEstimatorSpec.bmid()
+    if orientation not in ORIENTATIONS:
+        raise InvalidParameter(
+            f"orientation must be one of {ORIENTATIONS}, got {orientation!r}"
+        )
+    if orientation == "off" or (orientation == "auto" and not spec.is_robust):
+        if not spec.is_robust:
+            return OrientedTrace(classical_css(values))
+        return OrientedTrace(robust_css(values, spec, exact_naive=exact_naive))
     arr = _as_sample(values, min_len=8, what="series")
     trace = robust_css(arr, spec, exact_naive=exact_naive)
     if detect_orientation(trace) is Orientation.CONVEX:
-        rev = robust_css(
-            reverse_sample(arr), spec, exact_naive=exact_naive, mark_reversed=True
-        )
+        rev = robust_css(reverse_sample(arr), spec, exact_naive=exact_naive)
         if constant_prefix_check(rev, head_len=head_len, threshold=threshold):
             return OrientedTrace(trace, constant_prefix_fallback=True)
-        return OrientedTrace(rev)
+        return OrientedTrace(rev, reversed_applied=True)
     return OrientedTrace(trace)
 
 
@@ -275,14 +288,21 @@ def detect_with_orientation(
     method: str,
     spec: ScaleEstimatorSpec | None = None,
     *,
+    orientation: str = "auto",
     head_len: int = 6,
     threshold: float = 0.05,
     exact_naive: bool = False,
 ) -> DetectionResult:
-    """Full robust pipeline: :func:`orient` the sample, then
-    :func:`detect_oriented` with the given method."""
+    """The whole pipeline for any spec: :func:`orient` the sample (with the
+    same ``orientation`` choice), then :func:`detect_oriented` with the
+    given method."""
     _detector(method)  # reject an unknown method before any trace is built
     oriented = orient(
-        values, spec, head_len=head_len, threshold=threshold, exact_naive=exact_naive
+        values,
+        spec,
+        orientation=orientation,
+        head_len=head_len,
+        threshold=threshold,
+        exact_naive=exact_naive,
     )
     return detect_oriented(oriented, method)

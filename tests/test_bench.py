@@ -17,6 +17,7 @@ from scaleshift import (
     ScaleEstimatorSpec,
     StableSpec,
     default_methods,
+    detect_with_orientation,
     grid_point_id,
     median_ci_ranks,
     normalized_error,
@@ -214,8 +215,6 @@ class TestSharedRobustTrace:
     @pytest.mark.parametrize("n", [60, 7])
     def test_outcomes_equal_per_method_detection(self, n):
         # N=7 is too short for the robust pipeline: its failure is shared
-        from scaleshift.bench import run_detection
-
         cfg = BenchConfig(
             grid=(
                 StableSpec(alpha=1.5, gamma2=4.0, N=n, cp=n // 2),
@@ -226,8 +225,10 @@ class TestSharedRobustTrace:
             base_seed=3,
         )
 
-        def one_by_one(method, values, truth):
-            return run_detection(method, values)
+        def one_by_one(m, values, truth):
+            return detect_with_orientation(
+                values, m.detector, m.estimator
+            ).change_point
 
         shared = run_mae_study(cfg)
         separate = run_mae_study(cfg, _detect_fn=one_by_one)

@@ -14,6 +14,7 @@ from scaleshift import (
     ParseError,
     ScaleEstimatorSpec,
     TooShortAfterPreprocess,
+    detect_with_orientation,
     icss_detect,
     reverse_sample,
     robust_css,
@@ -286,6 +287,37 @@ class TestDetectScanCount:
         assert np.array_equal([float(r[2]) for r in rows], stat)
 
 
+class TestDetectMatchesLibrary:
+    """``scaleshift detect`` reports what the library pipeline returns for
+    the same estimator, method and orientation."""
+
+    SPECS = {
+        "classical": ScaleEstimatorSpec.classical(),
+        "bmid": ScaleEstimatorSpec.bmid(),
+        "qcv": ScaleEstimatorSpec.qcv(),
+    }
+
+    @pytest.mark.parametrize("method", ["icss", "ols"])
+    @pytest.mark.parametrize("orientation", ["auto", "on", "off"])
+    @pytest.mark.parametrize("estimator", ["classical", "bmid", "qcv"])
+    @pytest.mark.parametrize("name", ["stable_up.csv", "stable_down.csv"])
+    def test_cli_json_equals_library(self, name, estimator, orientation, method, capsys):
+        path = str(FIXTURES / name)
+        rc = main(["detect", "--input", path, "--column", "2",
+                   "--estimator", estimator, "--method", method,
+                   "--orientation", orientation])
+        assert rc == 0
+        payload = json.loads(capsys.readouterr().out)
+        res = detect_with_orientation(
+            ingest_csv(path, 2).values, method, self.SPECS[estimator],
+            orientation=orientation,
+        )
+        assert payload["change_point"] == res.change_point
+        assert payload["reversed_applied"] is res.reversed_applied
+        assert payload["constant_prefix_fallback"] is res.constant_prefix_fallback
+        assert payload["statistic_at_cp"] == res.statistic_at_cp
+
+
 class TestSimulateCommand:
     def test_deterministic_fixture(self, tmp_path):
         p1, p2 = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
@@ -326,6 +358,14 @@ class TestSimulateCommand:
         lines = capsys.readouterr().out.strip().splitlines()
         assert lines[0] == "index,value,regime"
         assert len(lines) == 13
+
+    def test_stdout_equals_file(self, tmp_path, capsys):
+        path = str(tmp_path / "a.csv")
+        args = ["simulate", "mixture", "--n", "30", "--cp", "15", "--seed", "4"]
+        assert main(args) == 0
+        assert main(args + ["--output", path]) == 0
+        with open(path, newline="") as fh:
+            assert fh.read() == capsys.readouterr().out
 
 
 class TestConfigFile:

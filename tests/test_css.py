@@ -17,13 +17,12 @@ from scaleshift import (
 from scaleshift.simulate import StableSpec, gen_stable_series, make_rng
 
 
-def _trace(values, spec=None, reversed=False):
+def _trace(values, spec=None):
     arr = np.asarray(values, dtype=float)
     return CssTrace(
         values=arr,
         estimator=spec or ScaleEstimatorSpec.bmid(),
         source_length=arr.size,
-        reversed=reversed,
     )
 
 

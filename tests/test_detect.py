@@ -236,7 +236,7 @@ class TestOrient:
         spec = ScaleEstimatorSpec.qcv()
         o = orient(series, spec)
         assert o.reversed_applied and not o.constant_prefix_fallback
-        assert o.trace.reversed
+        assert detect_oriented(o, METHOD_ICSS).reversed_applied
         assert np.array_equal(
             o.trace.values, robust_css(reverse_sample(series), spec).values
         )
@@ -257,7 +257,7 @@ class TestOrient:
         assert detect_orientation(robust_css(x, spec)) is Orientation.CONVEX
         o = orient(x, spec)
         assert o.constant_prefix_fallback and not o.reversed_applied
-        assert not o.trace.reversed
+        assert not detect_oriented(o, METHOD_ICSS).reversed_applied
         assert np.array_equal(o.trace.values, robust_css(x, spec).values)
 
     @pytest.mark.parametrize("gamma2", [2.0, 0.25])
@@ -282,11 +282,57 @@ class TestOrient:
     def test_fallback_result_flags(self):
         res = detect_with_orientation(_spiky_tail(), METHOD_OLS)
         assert res.constant_prefix_fallback and not res.reversed_applied
-        assert not res.trace.reversed
 
     def test_unknown_method_rejected(self):
         with pytest.raises(InvalidParameter):
             detect_oriented(orient(_spiky_tail()), "cusum")
+
+
+class TestOrientationChoice:
+    """``orient`` decides trace and order for every spec: orientation runs
+    for robust specs under ``auto`` and for any spec under ``on``."""
+
+    def test_classical_auto_is_the_classical_trace(self):
+        x = _two_regime_gaussian(n=300, cp=150)
+        for orientation in ("auto", "off"):
+            o = orient(x, ScaleEstimatorSpec.classical(), orientation=orientation)
+            assert not o.reversed_applied and not o.constant_prefix_fallback
+            assert np.array_equal(o.trace.values, classical_css(x).values)
+
+    def test_classical_on_reverses_a_scale_increase(self):
+        x = _two_regime_gaussian(n=300, cp=150)
+        spec = ScaleEstimatorSpec.classical()
+        o = orient(x, spec, orientation="on")
+        assert o.reversed_applied
+        assert np.array_equal(
+            o.trace.values, robust_css(reverse_sample(x), spec).values
+        )
+        res = detect_with_orientation(x, METHOD_ICSS, spec, orientation="on")
+        assert res.reversed_applied
+
+    def test_robust_off_keeps_the_forward_trace(self):
+        x = _two_regime_gaussian(n=300, cp=150)
+        spec = ScaleEstimatorSpec.qcv()
+        assert orient(x, spec).reversed_applied
+        o = orient(x, spec, orientation="off")
+        assert not o.reversed_applied
+        assert np.array_equal(o.trace.values, robust_css(x, spec).values)
+
+    def test_min_length_only_when_orientation_runs(self):
+        x = make_rng(1).standard_normal(7)
+        assert orient(x, ScaleEstimatorSpec.classical()).trace.source_length == 7
+        assert orient(x, orientation="off").trace.source_length == 7
+        with pytest.raises(InsufficientLength):
+            orient(x)
+        with pytest.raises(InsufficientLength):
+            orient(x, ScaleEstimatorSpec.classical(), orientation="on")
+
+    def test_unknown_orientation_rejected(self):
+        x = _two_regime_gaussian(n=100, cp=50)
+        with pytest.raises(InvalidParameter):
+            orient(x, orientation="sideways")
+        with pytest.raises(InvalidParameter):
+            detect_with_orientation(x, METHOD_OLS, orientation="sideways")
 
 
 class TestNonFiniteTrace:
