@@ -56,6 +56,7 @@ __all__ = [
 
 SEED_ENV_VAR = "SCALESHIFT_SEED"
 MIN_SERIES_LEN = 8
+TRACE_BLOCK_ROWS = 8192
 
 
 @dataclass(frozen=True)
@@ -136,6 +137,18 @@ def ingest_csv(path, column=1) -> TimeSeries:
         if col_idx is not None and col_idx < 0:
             raise ConfigError(f"column index must be >= 1, got {column}")
         for lineno, row in enumerate(reader, start=1):
+            # Fast path for the common row: a finite number in the column.
+            # IndexError is a short row, TypeError a header name not yet
+            # found; these, and every cell float() rejects or parses to
+            # inf/NaN, take the checks below.
+            try:
+                v = float(row[col_idx])
+            except (IndexError, TypeError, ValueError):
+                pass
+            else:
+                if v - v == 0.0:  # false for inf and NaN
+                    values.append(v)
+                    continue
             if not row or all(not cell.strip() for cell in row):
                 continue
             if isinstance(column, str) and col_idx is None:
@@ -359,13 +372,21 @@ def _cmd_detect(args) -> int:
 
 
 def _write_trace_csv(path, result: DetectionResult) -> None:
-    """The scanned trace and statistic, in scan order, one row per index."""
+    """The scanned trace and statistic, in scan order, one row per index:
+    ``.17g`` values, CRLF line ends (as ``csv.writer`` writes them), and an
+    empty statistic cell where it is NaN."""
+    css, stat = result.trace.values, result.statistic_trace
     with open(path, "w", newline="") as fh:
-        w = csv_mod.writer(fh)
-        w.writerow(["n", "css", "statistic"])
-        rows = zip(result.trace.values, result.statistic_trace)
-        for i, (cv, sv) in enumerate(rows, 1):
-            w.writerow([i, _fmt(cv), "" if math.isnan(sv) else _fmt(sv)])
+        fh.write("n,css,statistic\r\n")
+        # Python floats format fastest; converting a block at a time keeps
+        # the whole trace from existing as Python floats at once.
+        for lo in range(0, css.size, TRACE_BLOCK_ROWS):
+            block = slice(lo, lo + TRACE_BLOCK_ROWS)
+            rows = zip(css[block].tolist(), stat[block].tolist())
+            fh.writelines(
+                f"{i},{cv:.17g},{'' if sv != sv else format(sv, '.17g')}\r\n"
+                for i, (cv, sv) in enumerate(rows, lo + 1)
+            )
 
 
 def _parse_column(raw: str):
@@ -398,10 +419,10 @@ def _cmd_simulate(args) -> int:
         else contextlib.nullcontext(sys.stdout)
     )
     with out as fh:
-        w = csv_mod.writer(fh)
-        w.writerow(["index", "value", "regime"])
-        w.writerows(
-            (i, _fmt(v), 1 if i < cp else 2) for i, v in enumerate(series, start=1)
+        fh.write("index,value,regime\r\n")
+        fh.writelines(
+            f"{i},{v:.17g},{1 if i < cp else 2}\r\n"
+            for i, v in enumerate(series.tolist(), start=1)
         )
     return 0
 

@@ -1,24 +1,30 @@
 """Unit tests for CSV ingestion, preprocessing, and the CLI subcommands."""
 import csv
+import io
 import json
 import math
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from scaleshift import (
     ConfigError,
     EmptyColumn,
+    MixtureSpec,
     NonPositiveForLog,
     ParseError,
     ScaleEstimatorSpec,
     TooShortAfterPreprocess,
     detect_with_orientation,
+    gen_mixture_series,
     icss_detect,
     reverse_sample,
     robust_css,
 )
+from scaleshift import cli
 from scaleshift.cli import (
     PreprocessSpec,
     TimeSeries,
@@ -88,6 +94,107 @@ class TestIngestCsv:
     def test_blank_lines_skipped(self, tmp_path):
         path = _write(tmp_path, "e.csv", "1.0\n\n2.0\n\n")
         assert ingest_csv(path).values.tolist() == [1.0, 2.0]
+
+    @staticmethod
+    def _error(path, column=1):
+        with pytest.raises(ParseError) as exc:
+            ingest_csv(path, column)
+        return str(exc.value), exc.value.line
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            ("NaN", "non-finite value 'NaN'"),
+            (" nan ", "non-finite value 'nan'"),
+            ("inf", "non-finite value 'inf'"),
+            ("-inf", "non-finite value '-inf'"),
+            ("Infinity", "non-finite value 'Infinity'"),
+            (" bogus\t", "cannot parse 'bogus' as a real"),
+            ("1.0.0", "cannot parse '1.0.0' as a real"),
+        ],
+    )
+    def test_bad_cell_after_blank_rows(self, tmp_path, bad, message):
+        # lines 3-5 and 7 are blank, whitespace-only or all-empty cells
+        text = "v\n1.0\n\n   \n,\n2.0\n \t \n" + bad + "\n3.0\n"
+        path = _write(tmp_path, "f.csv", text)
+        assert self._error(path) == (message, 8)
+
+    def test_quoted_numeric_cells(self, tmp_path):
+        path = _write(tmp_path, "g.csv", '"v"\n"1.5"\n" 2.5 "\n"-3e-2"\n')
+        assert ingest_csv(path).values.tolist() == [1.5, 2.5, -0.03]
+
+    def test_quoted_cell_with_delimiter_is_error(self, tmp_path):
+        path = _write(tmp_path, "g.csv", 'v\n1.5\n"1,000"\n')
+        assert self._error(path) == ("cannot parse '1,000' as a real", 3)
+
+    def test_underscore_digit_grouping(self, tmp_path):
+        # float() accepts PEP 515 underscores, so the ingest does too
+        path = _write(tmp_path, "h.csv", "1_000\n2_5.0_1\n")
+        assert ingest_csv(path).values.tolist() == [1000.0, 25.01]
+
+    def test_crlf_file(self, tmp_path):
+        path = _write(tmp_path, "i.csv", "t,v\r\n1,1.5\r\n\r\n2,2.5\r\n")
+        assert ingest_csv(path, 2).values.tolist() == [1.5, 2.5]
+        bad = _write(tmp_path, "j.csv", "t,v\r\n1,1.5\r\n2,x\r\n")
+        assert self._error(bad, 2) == ("cannot parse 'x' as a real", 3)
+
+    def test_separator_control_padding_is_stripped(self, tmp_path):
+        # str.strip() removes U+001C..U+001F, which float() alone rejects
+        path = _write(tmp_path, "k.csv", "1.0\n\x1c2.5\x1f\n")
+        assert ingest_csv(path).values.tolist() == [1.0, 2.5]
+
+    def test_header_narrower_than_column(self, tmp_path):
+        path = _write(tmp_path, "l.csv", "v\n1,10\n2,20\n")
+        assert ingest_csv(path, 2).values.tolist() == [10.0, 20.0]
+        # a narrow numeric first line is also skipped as a header
+        path = _write(tmp_path, "m.csv", "5\n1,10\n")
+        assert ingest_csv(path, 2).values.tolist() == [10.0]
+
+    def test_narrow_data_row_is_error(self, tmp_path):
+        path = _write(tmp_path, "n.csv", "t,v\n1,10\n\n2\n")
+        assert self._error(path, 2) == ("row has 1 columns, need column 2", 4)
+
+    def test_header_name_on_first_non_blank_row(self, tmp_path):
+        path = _write(tmp_path, "o.csv", "\n \n t , level \n1,2.5\n\n2,3.5\n")
+        assert ingest_csv(path, "level").values.tolist() == [2.5, 3.5]
+        missing = _write(tmp_path, "p.csv", "\n\nt,level\n1,2.5\n")
+        assert self._error(missing, "volume") == (
+            "no column named 'volume' in header", 3,
+        )
+
+    def test_header_after_blank_line_is_error(self, tmp_path):
+        # only the file's first line may be an unnamed header
+        path = _write(tmp_path, "q.csv", "\nv\n1.0\n")
+        assert self._error(path) == ("cannot parse 'v' as a real", 2)
+
+    @settings(
+        max_examples=60,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(
+        rows=st.lists(
+            st.one_of(
+                st.floats(allow_nan=False, allow_infinity=False).flatmap(
+                    lambda v: st.sampled_from([format(v, ".17g"), repr(v)])
+                ),
+                st.sampled_from(["", " ", "\t", "  \t "]),
+            ),
+            max_size=40,
+        ).filter(lambda rows: any(r.strip() for r in rows)),
+        pad=st.sampled_from(["", " ", "\t "]),
+        header=st.booleans(),
+        newline=st.sampled_from(["\n", "\r\n"]),
+    )
+    def test_finite_cells_round_trip(self, tmp_path, rows, pad, header, newline):
+        cells = [r for r in rows if r.strip()]
+        lines = (["value"] if header else []) + [
+            pad + r + pad if r.strip() else r for r in rows
+        ]
+        path = _write(tmp_path, "r.csv", newline.join(lines) + newline)
+        got = ingest_csv(path).values
+        want = np.array([float(s) for s in cells])
+        assert got.tobytes() == want.tobytes()
 
 
 class TestParsePreprocessSpec:
@@ -287,6 +394,50 @@ class TestDetectScanCount:
         assert np.array_equal([float(r[2]) for r in rows], stat)
 
 
+class TestTraceCsvBytes:
+    """The ``--trace-csv`` file, byte for byte: ``csv.writer`` rows of the
+    scanned trace and statistic as ``.17g``, an empty cell where the
+    statistic is NaN."""
+
+    @staticmethod
+    def _reference(result) -> bytes:
+        buf = io.StringIO(newline="")
+        w = csv.writer(buf)
+        w.writerow(["n", "css", "statistic"])
+        rows = zip(result.trace.values, result.statistic_trace)
+        for i, (cv, sv) in enumerate(rows, 1):
+            w.writerow([
+                i,
+                format(float(cv), ".17g"),
+                "" if math.isnan(sv) else format(float(sv), ".17g"),
+            ])
+        return buf.getvalue().encode()
+
+    @pytest.mark.parametrize("block_rows", [None, 7])
+    @pytest.mark.parametrize("method", ["icss", "ols"])
+    @pytest.mark.parametrize(
+        "name, reversed_applied",
+        [("stable_up.csv", True), ("stable_down.csv", False)],
+    )
+    def test_trace_file_bytes(self, name, reversed_applied, method, block_rows,
+                              tmp_path, capsys, monkeypatch):
+        if block_rows is not None:  # rows straddle many blocks
+            monkeypatch.setattr(cli, "TRACE_BLOCK_ROWS", block_rows)
+        path = str(FIXTURES / name)
+        trace_path = tmp_path / "trace.csv"
+        rc = main(["detect", "--input", path, "--column", "2",
+                   "--method", method, "--trace-csv", str(trace_path)])
+        assert rc == 0
+        assert json.loads(capsys.readouterr().out)["reversed_applied"] is reversed_applied
+        res = detect_with_orientation(
+            ingest_csv(path, 2).values, method, ScaleEstimatorSpec.bmid()
+        )
+        want = self._reference(res)
+        if method == "ols":
+            assert b",\r\n" in want  # the statistic is undefined at the ends
+        assert trace_path.read_bytes() == want
+
+
 class TestDetectMatchesLibrary:
     """``scaleshift detect`` reports what the library pipeline returns for
     the same estimator, method and orientation."""
@@ -358,6 +509,23 @@ class TestSimulateCommand:
         lines = capsys.readouterr().out.strip().splitlines()
         assert lines[0] == "index,value,regime"
         assert len(lines) == 13
+
+    def test_file_bytes(self, tmp_path):
+        path = tmp_path / "a.csv"
+        assert main(["simulate", "mixture", "--omega2", "5", "--nu", "15",
+                     "--n", "60", "--cp", "25", "--seed", "3",
+                     "--output", str(path)]) == 0
+        series, cp = gen_mixture_series(
+            MixtureSpec(omega2=5.0, nu=15.0, p=0.05, N=60, cp=25, seed=3)
+        )
+        buf = io.StringIO(newline="")
+        w = csv.writer(buf)
+        w.writerow(["index", "value", "regime"])
+        w.writerows(
+            (i, format(float(v), ".17g"), 1 if i < cp else 2)
+            for i, v in enumerate(series, 1)
+        )
+        assert path.read_bytes() == buf.getvalue().encode()
 
     def test_stdout_equals_file(self, tmp_path, capsys):
         path = str(tmp_path / "a.csv")
