@@ -75,16 +75,14 @@ class Method:
         return self.detector
 
 
-def default_methods(
-    c: float = 9.0, a: float = 0.1, b: float = 0.9
-) -> tuple[Method, ...]:
+def default_methods() -> tuple[Method, ...]:
     """The six standard methods: each detector with the classical, BMID, and
-    QCV scale estimators."""
+    QCV scale estimators at their default tuning."""
     out = []
     for det in (METHOD_ICSS, METHOD_OLS):
         out.append(Method(det, ScaleEstimatorSpec.classical()))
-        out.append(Method(det, ScaleEstimatorSpec.bmid(c)))
-        out.append(Method(det, ScaleEstimatorSpec.qcv(a, b)))
+        out.append(Method(det, ScaleEstimatorSpec.bmid()))
+        out.append(Method(det, ScaleEstimatorSpec.qcv()))
     return tuple(out)
 
 

@@ -43,7 +43,7 @@ from .errors import (
     ScaleShiftError,
     TooShortAfterPreprocess,
 )
-from .simulate import MixtureSpec, StableSpec, gen_mixture_series, gen_stable_series
+from .simulate import MixtureSpec, StableSpec
 
 __all__ = [
     "TimeSeries",
@@ -128,7 +128,9 @@ def ingest_csv(path, column=1) -> TimeSeries:
 
     ``column`` is a 1-based index or a header name.  A non-numeric first row
     is treated as a header.  Any unparseable or non-finite cell in the data
-    is a hard :class:`ParseError` carrying its line number.
+    is a hard :class:`ParseError` carrying its line number, and so is a row
+    the CSV reader rejects (e.g. a cell over the field size limit); bytes
+    that do not decode give a :class:`ParseError` without one.
     """
     values = []
     with open(path, newline="") as fh:
@@ -136,46 +138,55 @@ def ingest_csv(path, column=1) -> TimeSeries:
         col_idx = None if isinstance(column, str) else int(column) - 1
         if col_idx is not None and col_idx < 0:
             raise ConfigError(f"column index must be >= 1, got {column}")
-        for lineno, row in enumerate(reader, start=1):
-            # Fast path for the common row: a finite number in the column.
-            # IndexError is a short row, TypeError a header name not yet
-            # found; these, and every cell float() rejects or parses to
-            # inf/NaN, take the checks below.
-            try:
-                v = float(row[col_idx])
-            except (IndexError, TypeError, ValueError):
-                pass
-            else:
-                if v - v == 0.0:  # false for inf and NaN
-                    values.append(v)
-                    continue
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            if isinstance(column, str) and col_idx is None:
+        try:
+            for lineno, row in enumerate(reader, start=1):
+                # Fast path for the common row: a finite number in the
+                # column.  IndexError is a short row, TypeError a header
+                # name not yet found; these, and every cell float() rejects
+                # or parses to inf/NaN, take the checks below.
                 try:
-                    col_idx = [c.strip() for c in row].index(column)
-                except ValueError:
+                    v = float(row[col_idx])
+                except (IndexError, TypeError, ValueError):
+                    pass
+                else:
+                    if v - v == 0.0:  # false for inf and NaN
+                        values.append(v)
+                        continue
+                if not row or all(not cell.strip() for cell in row):
+                    continue
+                if isinstance(column, str) and col_idx is None:
+                    try:
+                        col_idx = [c.strip() for c in row].index(column)
+                    except ValueError:
+                        raise ParseError(
+                            f"no column named {column!r} in header", line=lineno
+                        ) from None
+                    continue
+                if col_idx >= len(row):
+                    if lineno == 1 and not values:
+                        continue  # header narrower than the requested column
                     raise ParseError(
-                        f"no column named {column!r} in header", line=lineno
+                        f"row has {len(row)} columns, need column {col_idx + 1}",
+                        line=lineno,
+                    )
+                cell = row[col_idx].strip()
+                try:
+                    v = float(cell)
+                except ValueError:
+                    if lineno == 1 and not values:
+                        continue  # header row
+                    raise ParseError(
+                        f"cannot parse {cell!r} as a real", line=lineno
                     ) from None
-                continue
-            if col_idx >= len(row):
-                if lineno == 1 and not values:
-                    continue  # header row narrower than the requested column
-                raise ParseError(
-                    f"row has {len(row)} columns, need column {col_idx + 1}",
-                    line=lineno,
-                )
-            cell = row[col_idx].strip()
-            try:
-                v = float(cell)
-            except ValueError:
-                if lineno == 1 and not values:
-                    continue  # header row
-                raise ParseError(f"cannot parse {cell!r} as a real", line=lineno) from None
-            if not math.isfinite(v):
-                raise ParseError(f"non-finite value {cell!r}", line=lineno)
-            values.append(v)
+                if not math.isfinite(v):
+                    raise ParseError(f"non-finite value {cell!r}", line=lineno)
+                values.append(v)
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"file is not valid text: {exc}") from None
+        except csv_mod.Error as exc:
+            raise ParseError(
+                f"unreadable CSV row: {exc}", line=reader.line_num
+            ) from None
     if not values:
         raise EmptyColumn(f"no data rows found in {path!r} (column {column!r})")
     return TimeSeries(values=np.asarray(values), source=str(path))
@@ -324,6 +335,23 @@ def _default_seed() -> int:
         raise ConfigError(f"{SEED_ENV_VAR} must be an integer, got {raw!r}") from None
 
 
+def _model_spec(args, **extra):
+    """The ``StableSpec`` or ``MixtureSpec`` that the ``model`` flags
+    describe; ``extra`` (e.g. ``seed``) is passed through."""
+    if args.model == "stable":
+        return StableSpec(
+            alpha=args.alpha,
+            gamma1=args.gamma1,
+            gamma2=args.gamma2,
+            N=args.n,
+            cp=args.cp,
+            **extra,
+        )
+    return MixtureSpec(
+        omega2=args.omega2, nu=args.nu, p=args.p, N=args.n, cp=args.cp, **extra
+    )
+
+
 def _estimator_from_args(args) -> ScaleEstimatorSpec:
     if args.estimator == "classical":
         return ScaleEstimatorSpec.classical()
@@ -398,21 +426,7 @@ def _parse_column(raw: str):
 
 def _cmd_simulate(args) -> int:
     seed = args.seed if args.seed is not None else _default_seed()
-    if args.model == "stable":
-        spec = StableSpec(
-            alpha=args.alpha,
-            gamma1=args.gamma1,
-            gamma2=args.gamma2,
-            N=args.n,
-            cp=args.cp,
-            seed=seed,
-        )
-        series, cp = gen_stable_series(spec)
-    else:
-        spec = MixtureSpec(
-            omega2=args.omega2, nu=args.nu, p=args.p, N=args.n, cp=args.cp, seed=seed
-        )
-        series, cp = gen_mixture_series(spec)
+    series, cp = bench_mod._generate(_model_spec(args, seed=seed))
     out = (
         open(args.output, "w", newline="")
         if args.output
@@ -478,23 +492,10 @@ def _explicit_bench_config(args, base_seed) -> bench_mod.BenchConfig:
     if args.model == "stable":
         if args.alpha is None or args.gamma2 is None:
             raise ConfigError("stable bench needs --alpha and --gamma2")
-        grid = (
-            StableSpec(
-                alpha=args.alpha,
-                gamma1=args.gamma1,
-                gamma2=args.gamma2,
-                N=args.n,
-                cp=args.cp,
-            ),
-        )
-    else:
-        if args.omega2 is None or args.nu is None or args.p is None:
-            raise ConfigError("mixture bench needs --omega2, --nu and --p")
-        grid = (
-            MixtureSpec(omega2=args.omega2, nu=args.nu, p=args.p, N=args.n, cp=args.cp),
-        )
+    elif args.omega2 is None or args.nu is None or args.p is None:
+        raise ConfigError("mixture bench needs --omega2, --nu and --p")
     return bench_mod.BenchConfig(
-        grid=grid,
+        grid=(_model_spec(args),),
         methods=bench_mod.default_methods(),
         trials=args.trials if args.trials is not None else 50,
         base_seed=base_seed,
@@ -504,8 +505,17 @@ def _explicit_bench_config(args, base_seed) -> bench_mod.BenchConfig:
 # --------------------------------------------------------------------------
 # parser
 
+class _Parser(argparse.ArgumentParser):
+    """Raises :class:`ConfigError` on a usage error, so it follows the same
+    exit-2, one-JSON-line contract as every other failure; subparsers
+    inherit the class."""
+
+    def error(self, message):
+        raise ConfigError(f"{self.prog}: {message}")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="scaleshift",
         description="Offline scale change-point detection for heavy-tailed series",
     )

@@ -12,7 +12,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InsufficientLength, InvalidParameter
+from .errors import (
+    DegenerateScale,
+    InsufficientLength,
+    InvalidParameter,
+    WindowTooSmall,
+)
 from .estimators import (
     BmidConfig,
     QcvBounds,
@@ -23,9 +28,7 @@ from .estimators import (
     _window_variance,
     bmid_variance,
     qcv_variance,
-    sample_mean,
     sample_median,
-    sample_variance,
 )
 
 __all__ = [
@@ -145,23 +148,6 @@ def reverse_sample(values) -> np.ndarray:
     return arr[::-1].copy()
 
 
-def _scan_classical(arr: np.ndarray) -> tuple[np.ndarray, tuple[int, ...]]:
-    """Welford scan evaluating n*(var + mean^2) - var per prefix."""
-    n_total = arr.size
-    out = np.empty(n_total)
-    out[0] = arr[0] * arr[0]
-    mean = float(arr[0])
-    m2 = 0.0
-    for n in range(2, n_total + 1):
-        x = float(arr[n - 1])
-        delta = x - mean
-        mean += delta / n
-        m2 += delta * (x - mean)
-        var = m2 / (n - 1)
-        out[n - 1] = n * (var + mean * mean) - var
-    return out, ()
-
-
 def _scan_robust(
     arr: np.ndarray, spec: ScaleEstimatorSpec
 ) -> tuple[np.ndarray, tuple[int, ...]]:
@@ -211,30 +197,24 @@ def _scan_robust(
 def _scan_naive(
     arr: np.ndarray, spec: ScaleEstimatorSpec
 ) -> tuple[np.ndarray, tuple[int, ...]]:
-    """Oracle scan: recompute location and scale from scratch per prefix by
-    calling the public estimators."""
-    from .errors import DegenerateScale, WindowTooSmall
-
+    """Oracle scan for a robust spec: recompute median and scale from
+    scratch per prefix by calling the public estimators."""
     n_total = arr.size
     out = np.empty(n_total)
     out[0] = arr[0] * arr[0]
     degenerate: list[int] = []
     for n in range(2, n_total + 1):
         prefix = arr[:n]
-        if spec.kind == KIND_CLASSICAL:
-            loc = sample_mean(prefix)
-            var = sample_variance(prefix)
-        else:
-            loc = sample_median(prefix)
-            try:
-                if spec.kind == KIND_BMID:
-                    var = bmid_variance(prefix, spec.bmid_config)
-                else:
-                    var = qcv_variance(prefix, spec.qcv_bounds)
-            except (DegenerateScale, WindowTooSmall):
-                var = 0.0
-                degenerate.append(n)
-        out[n - 1] = n * (var + loc * loc) - var
+        med = sample_median(prefix)
+        try:
+            if spec.kind == KIND_BMID:
+                var = bmid_variance(prefix, spec.bmid_config)
+            else:
+                var = qcv_variance(prefix, spec.qcv_bounds)
+        except (DegenerateScale, WindowTooSmall):
+            var = 0.0
+            degenerate.append(n)
+        out[n - 1] = n * (var + med * med) - var
     return out, tuple(degenerate)
 
 
@@ -251,16 +231,17 @@ def robust_css(
     with an undefined robust variance get variance 0 substituted and are
     recorded in ``degenerate_prefixes``.
 
-    ``exact_naive=True`` recomputes every prefix from scratch through the
-    public estimators; it is the equivalence oracle for the default
-    incremental scan.
+    A classical spec gives :func:`classical_css`, the running sum of
+    squares that the identity reduces to with the mean and the sample
+    variance, whatever ``exact_naive`` says.  For a robust spec,
+    ``exact_naive=True``
+    recomputes every prefix from scratch through the public estimators; it
+    is the equivalence oracle for the default incremental scan.
     """
     arr = _as_sample(values, min_len=3, what="series")
     if spec.kind == KIND_CLASSICAL:
-        out, degenerate = (
-            _scan_naive(arr, spec) if exact_naive else _scan_classical(arr)
-        )
-    elif exact_naive:
+        return classical_css(arr)
+    if exact_naive:
         out, degenerate = _scan_naive(arr, spec)
     else:
         out, degenerate = _scan_robust(arr, spec)

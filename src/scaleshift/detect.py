@@ -229,10 +229,10 @@ def orient(
     :class:`InvalidParameter`.  With orientation on, the sample is reversed
     when its trace is convex (scale increases make the robust trace bend
     below its chord), unless the reversed trace has the constant-head
-    signature; the classical spec then scans with the Welford form of the
-    robust trace, and the series needs at least 8 points.  With orientation
-    off, the classical spec gives :func:`classical_css` and a robust spec
-    its forward trace.
+    signature; the classical spec then runs the same test on
+    :func:`classical_css`, and the series needs at least 8 points.  With
+    orientation off, the classical spec gives :func:`classical_css` and a
+    robust spec its forward trace.
 
     Builds one trace, or two when the forward trace is convex.  Any number
     of detectors can then run on the result with :func:`detect_oriented`.

@@ -64,7 +64,8 @@ class EmptyInput(ScaleShiftError):
 
 
 class ParseError(ScaleShiftError):
-    """A CSV cell could not be parsed as a finite real number."""
+    """A CSV cell could not be parsed as a finite real number, or the file
+    could not be read as CSV text."""
 
     def __init__(self, message, line=None):
         super().__init__(message)

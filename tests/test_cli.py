@@ -162,6 +162,19 @@ class TestIngestCsv:
             "no column named 'volume' in header", 3,
         )
 
+    def test_undecodable_bytes_are_parse_error(self, tmp_path):
+        path = tmp_path / "ff.csv"
+        path.write_bytes(b"1.0\n2.0\n\xff\n")
+        with pytest.raises(ParseError):
+            ingest_csv(str(path))
+
+    def test_oversized_field_is_parse_error_with_line(self, tmp_path):
+        path = _write(tmp_path, "big.csv", "1.0\n2.0\n" + "9" * 131073 + "\n")
+        with pytest.raises(ParseError) as exc:
+            ingest_csv(path)
+        assert exc.value.line == 3
+        assert "field larger than field limit" in str(exc.value)
+
     def test_header_after_blank_line_is_error(self, tmp_path):
         # only the file's first line may be an unnamed header
         path = _write(tmp_path, "q.csv", "\nv\n1.0\n")
@@ -570,6 +583,41 @@ class TestConfigFile:
         rc = main(["detect", "--config", "nope.cfg", "--input", "x.csv"])
         assert rc == 2
         assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
+
+
+class TestUsageErrors:
+    """argparse usage errors follow the error contract: ``main`` returns 2
+    and writes one ConfigError JSON line to stderr."""
+
+    @pytest.mark.parametrize(
+        "argv, config",
+        [
+            (["detect", "--input", "x.csv", "--method", "foo"], None),
+            (["detect"], None),
+            (["detect", "--input", "x.csv", "--head-len", "x"], None),
+            (["no-such-command"], None),
+            (["detect", "--input", "x.csv"], "a = 1\n"),
+        ],
+        ids=["bad-choice", "missing-input", "bad-int", "unknown-command",
+             "unknown-config-key"],
+    )
+    def test_usage_error_contract(self, tmp_path, argv, config, capsys):
+        if config is not None:
+            argv = argv + ["--config", _write(tmp_path, "run.cfg", config)]
+        rc = main(argv)
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.strip().splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert err["error"] == "ConfigError" and err["message"]
+
+    def test_help_still_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["detect", "--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: scaleshift detect")
 
 
 class TestBenchCommand:

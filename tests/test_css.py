@@ -74,8 +74,11 @@ class TestRobustCss:
     def test_classical_spec_matches_classical_css(self):
         x = make_rng(2).standard_normal(150) * 4.0 + 1.0
         direct = classical_css(x).values
-        via_identity = robust_css(x, ScaleEstimatorSpec.classical()).values
-        assert np.allclose(via_identity, direct, rtol=1e-9)
+        for exact_naive in (False, True):
+            via_spec = robust_css(
+                x, ScaleEstimatorSpec.classical(), exact_naive=exact_naive
+            ).values
+            assert np.array_equal(via_spec, direct)
 
     def test_constant_sample_qcv(self):
         # variance 0 on every prefix leaves n * median^2

@@ -310,6 +310,14 @@ class TestOrientationChoice:
         res = detect_with_orientation(x, METHOD_ICSS, spec, orientation="on")
         assert res.reversed_applied
 
+    @pytest.mark.parametrize("sigma2", [3.0, 1 / 3])
+    def test_classical_on_scans_classical_css(self, sigma2):
+        x = _two_regime_gaussian(n=300, cp=150, sigma2=sigma2)
+        o = orient(x, ScaleEstimatorSpec.classical(), orientation="on")
+        assert o.reversed_applied == (sigma2 > 1.0)
+        sample = reverse_sample(x) if o.reversed_applied else x
+        assert np.array_equal(o.trace.values, classical_css(sample).values)
+
     def test_robust_off_keeps_the_forward_trace(self):
         x = _two_regime_gaussian(n=300, cp=150)
         spec = ScaleEstimatorSpec.qcv()
