@@ -48,7 +48,6 @@ from .detect import (
     DetectionResult,
     OrientedTrace,
     detect_oriented,
-    detect_with_orientation,
     icss_detect,
     ols_detect,
     orient,
@@ -112,7 +111,6 @@ __all__ = [
     # detect
     "METHOD_ICSS", "METHOD_OLS", "DetectionResult", "OrientedTrace",
     "icss_detect", "ols_detect", "orient", "detect_oriented",
-    "detect_with_orientation",
     # simulate
     "make_rng", "StableSpec", "MixtureSpec", "sample_symmetric_stable",
     "gen_stable_series", "gen_mixture_series",

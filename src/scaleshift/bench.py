@@ -19,13 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .css import ScaleEstimatorSpec
-from .detect import (
-    METHOD_ICSS,
-    METHOD_OLS,
-    detect_oriented,
-    detect_with_orientation,
-    orient,
-)
+from .detect import METHOD_ICSS, METHOD_OLS, detect_oriented, orient
 from .errors import ConfigError, EmptyInput, IndexOutOfRange, ScaleShiftError
 from .simulate import MixtureSpec, StableSpec, gen_mixture_series, gen_stable_series
 
@@ -232,7 +226,7 @@ def run_mae_study(cfg: BenchConfig, _detect_fn=None) -> MaeReport:
     ``_detect_fn(method, values, truth)`` is a test hook replacing the real
     detection.  By default every trace is built once per (trial, estimator)
     and shared by all detectors of that estimator; results equal
-    :func:`detect_with_orientation` per method.
+    ``detect_oriented(orient(values, estimator), detector)`` per method.
     """
     rows = []
     for spec in cfg.grid:
@@ -349,7 +343,7 @@ def run_timing_study(cfg: BenchConfig) -> TimingReport:
             times = []
             for t, x in enumerate(series):
                 t0 = time.perf_counter()
-                detect_with_orientation(x, method.detector, method.estimator)
+                detect_oriented(orient(x, method.estimator), method.detector)
                 elapsed = time.perf_counter() - t0
                 if t > 0:
                     times.append(elapsed)

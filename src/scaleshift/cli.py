@@ -8,8 +8,10 @@ Usage sketches::
     scaleshift bench mae --preset stable-desk --output-csv mae.csv
 
 A flat key-value config file (``key = value`` per line, ``#`` comments) can
-seed any subcommand's flags via ``--config``; explicit flags win.  The
-environment variable ``SCALESHIFT_SEED`` provides the default seed/base-seed.
+seed any subcommand's options via ``--config FILE`` or ``--config=FILE``:
+each key names an option exactly and its value is passed verbatim as that
+option's argument; explicit flags win.  The environment variable
+``SCALESHIFT_SEED`` provides the default seed/base-seed.
 """
 from __future__ import annotations
 
@@ -33,7 +35,8 @@ from .detect import (
     METHOD_OLS,
     ORIENTATIONS,
     DetectionResult,
-    detect_with_orientation,
+    detect_oriented,
+    orient,
 )
 from .errors import (
     ConfigError,
@@ -295,8 +298,11 @@ def build_preset(name: str, base_seed: int) -> bench_mod.BenchConfig:
 # --------------------------------------------------------------------------
 # argument plumbing
 
-def _load_config_args(path) -> list[str]:
-    """Flat key = value file -> argv fragment (prepended, so real flags win)."""
+def _load_config_args(path, options) -> list[str]:
+    """Flat key = value file -> argv fragment (prepended, so real flags win).
+
+    Each key must be one of ``options`` without its leading dashes; the
+    value is passed verbatim as that option's argument."""
     args: list[str] = []
     try:
         fh = open(path)
@@ -314,14 +320,9 @@ def _load_config_args(path) -> list[str]:
             key, _, value = line.partition("=")
             key = key.strip().lstrip("-")
             value = value.strip()
-            if not key:
-                raise ConfigError(f"{path}:{lineno}: empty key")
-            if value.lower() in ("true", "yes", "on"):
-                args.append(f"--{key}")
-            elif value.lower() in ("false", "no", "off"):
-                continue
-            else:
-                args.extend([f"--{key}", value])
+            if f"--{key}" not in options:
+                raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+            args.append(f"--{key}={value}")
     return args
 
 
@@ -368,15 +369,14 @@ def _cmd_detect(args) -> int:
     if args.preprocess:
         ts = preprocess(ts, parse_preprocess_spec(args.preprocess))
     spec = _estimator_from_args(args)
-    result = detect_with_orientation(
+    oriented = orient(
         ts.values,
-        args.method,
         spec,
         orientation=args.orientation,
         head_len=args.head_len,
         threshold=args.prefix_threshold,
-        exact_naive=args.exact_naive,
     )
+    result = detect_oriented(oriented, args.method)
     payload = {
         "change_point": result.change_point,
         "method": result.method,
@@ -514,7 +514,8 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(f"{self.prog}: {message}")
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
+    """The parser and its subcommand parsers by name."""
     parser = _Parser(
         prog="scaleshift",
         description="Offline scale change-point detection for heavy-tailed series",
@@ -541,8 +542,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_det.add_argument("--head-len", type=int, default=6)
     p_det.add_argument("--prefix-threshold", type=float, default=0.05)
-    p_det.add_argument("--exact-naive", action="store_true",
-                       help="per-prefix oracle scan instead of the incremental one")
     p_det.add_argument("--output", help="write result JSON here (default stdout)")
     p_det.add_argument("--trace-csv", help="write n,css,statistic rows here")
     p_det.set_defaults(func=_cmd_detect)
@@ -585,33 +584,49 @@ def _build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--output-json")
     p_bench.add_argument("--detections-csv")
     p_bench.set_defaults(func=_cmd_bench)
-    return parser
+    return parser, sub.choices
 
 
-def _inject_config(argv: list[str]) -> list[str]:
-    """Expand --config FILE into its flags, placed before explicit flags."""
-    if "--config" not in argv:
+def _inject_config(argv: list[str], commands: dict) -> list[str]:
+    """Expand ``--config FILE`` or ``--config=FILE`` into the file's flags,
+    placed before the explicit flags."""
+    for i, token in enumerate(argv):
+        if token == "--config" or token.startswith("--config="):
+            break
+    else:
         return argv
-    i = argv.index("--config")
-    if i + 1 >= len(argv):
-        raise ConfigError("--config needs a file path")
-    path = argv[i + 1]
-    rest = argv[:i] + argv[i + 2 :]
+    if token == "--config":
+        if i + 1 >= len(argv):
+            raise ConfigError("--config needs a file path")
+        path, rest = argv[i + 1], argv[:i] + argv[i + 2 :]
+    else:
+        path, rest = token.partition("=")[2], argv[:i] + argv[i + 1 :]
     # keep the subcommand words in front, then config args, then user flags
-    head = []
     j = 0
     while j < len(rest) and not rest[j].startswith("-"):
-        head.append(rest[j])
         j += 1
-    return head + _load_config_args(path) + rest[j:]
+    sub = commands.get(rest[0]) if j else None
+    if sub is None:
+        return argv  # no subcommand to read the file for; argparse says so
+    options = {
+        s
+        for action in sub._actions
+        if action.dest not in ("help", "config")
+        for s in action.option_strings
+    }
+    return rest[:j] + _load_config_args(path, options) + rest[j:]
 
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        argv = _inject_config(argv)
-        parser = _build_parser()
-        args = parser.parse_args(argv)
+        parser, commands = _build_parser()
+        args = parser.parse_args(_inject_config(argv, commands))
+        if args.config is not None:  # an abbreviation argparse expanded
+            raise ConfigError(
+                f"config file {args.config!r} not read: "
+                "spell the option --config FILE or --config=FILE"
+            )
         return args.func(args)
     except ScaleShiftError as exc:
         payload = {"error": type(exc).__name__, "message": str(exc)}

@@ -257,8 +257,9 @@ def detect_orientation(trace: CssTrace) -> Orientation:
     """Classify the trace against the chord through (2, C_2), (N-1, C_{N-1}).
 
     Counts interior points strictly above and strictly below the chord
-    (strictly meaning beyond a small relative tolerance band, so exactly
-    collinear traces count to neither side).  Concave when above-count
+    (strictly meaning beyond a tolerance of 1e-12 max|C_n|, so exactly
+    collinear traces count to neither side and the decision does not
+    depend on the units of the data).  Concave when above-count
     exceeds below-count; ties resolve to Convex.
     """
     n_total = trace.source_length
@@ -268,7 +269,7 @@ def detect_orientation(trace: CssTrace) -> Orientation:
     y_first, y_last = window[0], window[-1]
     t = np.linspace(0.0, 1.0, window.size)
     chord = y_first * (1.0 - t) + y_last * t
-    tol = 1e-12 * max(1.0, float(np.max(np.abs(window))))
+    tol = 1e-12 * float(np.max(np.abs(window)))
     above = int(np.sum(window > chord + tol))
     below = int(np.sum(window < chord - tol))
     return Orientation.CONCAVE if above > below else Orientation.CONVEX

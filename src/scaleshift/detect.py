@@ -40,7 +40,6 @@ __all__ = [
     "ols_detect",
     "orient",
     "detect_oriented",
-    "detect_with_orientation",
 ]
 
 METHOD_ICSS = "icss"
@@ -220,7 +219,6 @@ def orient(
     orientation: str = "auto",
     head_len: int = 6,
     threshold: float = 0.05,
-    exact_naive: bool = False,
 ) -> OrientedTrace:
     """Build the trace for ``spec`` (BMID by default) and choose its order.
 
@@ -245,11 +243,11 @@ def orient(
     if orientation == "off" or (orientation == "auto" and not spec.is_robust):
         if not spec.is_robust:
             return OrientedTrace(classical_css(values))
-        return OrientedTrace(robust_css(values, spec, exact_naive=exact_naive))
+        return OrientedTrace(robust_css(values, spec))
     arr = _as_sample(values, min_len=8, what="series")
-    trace = robust_css(arr, spec, exact_naive=exact_naive)
+    trace = robust_css(arr, spec)
     if detect_orientation(trace) is Orientation.CONVEX:
-        rev = robust_css(reverse_sample(arr), spec, exact_naive=exact_naive)
+        rev = robust_css(reverse_sample(arr), spec)
         if constant_prefix_check(rev, head_len=head_len, threshold=threshold):
             return OrientedTrace(trace, constant_prefix_fallback=True)
         return OrientedTrace(rev, reversed_applied=True)
@@ -257,6 +255,7 @@ def orient(
 
 
 def _detector(method: str):
+    # Resolved by name at call time, so a patched module attribute is used.
     if method == METHOD_ICSS:
         return icss_detect
     if method == METHOD_OLS:
@@ -281,28 +280,3 @@ def detect_oriented(oriented: OrientedTrace, method: str) -> DetectionResult:
         reversed_applied=oriented.reversed_applied,
         constant_prefix_fallback=oriented.constant_prefix_fallback,
     )
-
-
-def detect_with_orientation(
-    values,
-    method: str,
-    spec: ScaleEstimatorSpec | None = None,
-    *,
-    orientation: str = "auto",
-    head_len: int = 6,
-    threshold: float = 0.05,
-    exact_naive: bool = False,
-) -> DetectionResult:
-    """The whole pipeline for any spec: :func:`orient` the sample (with the
-    same ``orientation`` choice), then :func:`detect_oriented` with the
-    given method."""
-    _detector(method)  # reject an unknown method before any trace is built
-    oriented = orient(
-        values,
-        spec,
-        orientation=orientation,
-        head_len=head_len,
-        threshold=threshold,
-        exact_naive=exact_naive,
-    )
-    return detect_oriented(oriented, method)

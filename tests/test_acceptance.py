@@ -22,7 +22,7 @@ from scaleshift.css import (
     detect_orientation,
     robust_css,
 )
-from scaleshift.detect import METHOD_ICSS, detect_with_orientation, icss_detect, ols_detect
+from scaleshift.detect import METHOD_ICSS, detect_oriented, icss_detect, ols_detect, orient
 from scaleshift.simulate import MixtureSpec, StableSpec, gen_stable_series, make_rng
 from scaleshift.simulate import _stable_draws
 
@@ -251,7 +251,7 @@ def test_criterion_07_orientation_enhancement():
             trace = robust_css(series, ScaleEstimatorSpec.bmid())
             if detect_orientation(trace) is want:
                 n_orient += 1
-            res = detect_with_orientation(series, METHOD_ICSS)
+            res = detect_oriented(orient(series), METHOD_ICSS)
             if res.reversed_applied == want_reversal:
                 n_reversal += 1
         counts[gamma2] = (n_orient, n_reversal)

@@ -17,10 +17,11 @@ from scaleshift import (
     ScaleEstimatorSpec,
     StableSpec,
     default_methods,
-    detect_with_orientation,
+    detect_oriented,
     grid_point_id,
     median_ci_ranks,
     normalized_error,
+    orient,
     run_mae_study,
     run_timing_study,
     summarize_boxplot,
@@ -226,9 +227,8 @@ class TestSharedRobustTrace:
         )
 
         def one_by_one(m, values, truth):
-            return detect_with_orientation(
-                values, m.detector, m.estimator
-            ).change_point
+            oriented = orient(values, m.estimator)
+            return detect_oriented(oriented, m.detector).change_point
 
         shared = run_mae_study(cfg)
         separate = run_mae_study(cfg, _detect_fn=one_by_one)

@@ -18,9 +18,10 @@ from scaleshift import (
     ParseError,
     ScaleEstimatorSpec,
     TooShortAfterPreprocess,
-    detect_with_orientation,
+    detect_oriented,
     gen_mixture_series,
     icss_detect,
+    orient,
     reverse_sample,
     robust_css,
 )
@@ -314,16 +315,6 @@ class TestDetectCommand:
         payload = json.loads(capsys.readouterr().out)
         assert payload["reversed_applied"] is False
 
-    def test_exact_naive_flag_agrees(self, fixture_csv, capsys):
-        rc = main(["detect", "--input", fixture_csv, "--column", "value",
-                   "--estimator", "qcv"])
-        fast = json.loads(capsys.readouterr().out)
-        rc2 = main(["detect", "--input", fixture_csv, "--column", "value",
-                    "--estimator", "qcv", "--exact-naive"])
-        slow = json.loads(capsys.readouterr().out)
-        assert rc == rc2 == 0
-        assert fast["change_point"] == slow["change_point"]
-
     def test_preprocess_flag(self, fixture_csv, capsys):
         rc = main(["detect", "--input", fixture_csv, "--column", "value",
                    "--preprocess", "agg:2:mean"])
@@ -442,9 +433,7 @@ class TestTraceCsvBytes:
                    "--method", method, "--trace-csv", str(trace_path)])
         assert rc == 0
         assert json.loads(capsys.readouterr().out)["reversed_applied"] is reversed_applied
-        res = detect_with_orientation(
-            ingest_csv(path, 2).values, method, ScaleEstimatorSpec.bmid()
-        )
+        res = detect_oriented(orient(ingest_csv(path, 2).values), method)
         want = self._reference(res)
         if method == "ols":
             assert b",\r\n" in want  # the statistic is undefined at the ends
@@ -472,10 +461,11 @@ class TestDetectMatchesLibrary:
                    "--orientation", orientation])
         assert rc == 0
         payload = json.loads(capsys.readouterr().out)
-        res = detect_with_orientation(
-            ingest_csv(path, 2).values, method, self.SPECS[estimator],
+        oriented = orient(
+            ingest_csv(path, 2).values, self.SPECS[estimator],
             orientation=orientation,
         )
+        res = detect_oriented(oriented, method)
         assert payload["change_point"] == res.change_point
         assert payload["reversed_applied"] is res.reversed_applied
         assert payload["constant_prefix_fallback"] is res.constant_prefix_fallback
@@ -566,12 +556,66 @@ class TestConfigFile:
         assert payload["estimator"]["kind"] == "qcv"  # config supplied
 
     def test_boolean_config_value(self, tmp_path, capsys):
-        series = str(tmp_path / "s.csv")
-        main(["simulate", "stable", "--alpha", "1.8", "--gamma2", "3",
-              "--n", "60", "--cp", "30", "--seed", "2", "--output", series])
-        cfg = _write(tmp_path, "run.cfg", "exact-naive = true\ncolumn = value\n")
+        # a boolean-looking value is the option's argument, like any other
+        series = str(FIXTURES / "stable_up.csv")
+        for value in ("off", "on"):
+            cfg = _write(tmp_path, "run.cfg", f"orientation = {value}\ncolumn = 2\n")
+            assert main(["detect", "--config", cfg, "--input", series]) == 0
+            from_config = capsys.readouterr().out
+            assert main(["detect", "--input", series, "--orientation", value,
+                         "--column", "2"]) == 0
+            assert from_config == capsys.readouterr().out
+
+    def test_config_equals_form(self, tmp_path, capsys):
+        series = str(FIXTURES / "stable_up.csv")
+        cfg = _write(tmp_path, "run.cfg", "method = ols\ncolumn = 2\n")
+        assert main(["detect", f"--config={cfg}", "--input", series]) == 0
+        equals_form = capsys.readouterr().out
+        assert json.loads(equals_form)["method"] == "ols"
         assert main(["detect", "--config", cfg, "--input", series]) == 0
-        json.loads(capsys.readouterr().out)
+        assert equals_form == capsys.readouterr().out
+
+    @pytest.mark.parametrize("spelling", ["--conf", "--confi", "--con"])
+    @pytest.mark.parametrize("joined", [False, True])
+    def test_abbreviated_config_option_is_an_error(self, tmp_path, spelling,
+                                                   joined, capsys):
+        cfg = _write(tmp_path, "run.cfg", "method = ols\ncolumn = 2\n")
+        flag = [f"{spelling}={cfg}"] if joined else [spelling, cfg]
+        rc = main(["detect", *flag, "--input", str(FIXTURES / "stable_up.csv")])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.strip().splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] == "ConfigError"
+
+    @pytest.mark.parametrize(
+        "argv, key",
+        [
+            (["detect", "--input", "x.csv"], "meth"),
+            (["simulate", "stable"], "a"),
+            (["simulate", "stable"], "config"),
+            (["bench", "mae", "--preset", "stable-desk"], "tri"),
+        ],
+    )
+    def test_keys_must_name_an_option_exactly(self, tmp_path, argv, key, capsys):
+        cfg = _write(tmp_path, "run.cfg", f"{key} = 1\n")
+        rc = main(argv + ["--config", cfg])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.strip().splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert err["error"] == "ConfigError" and repr(key) in err["message"]
+
+    def test_simulate_config_matches_flags(self, tmp_path, capsys):
+        cfg = _write(tmp_path, "run.cfg", "alpha = 1.9\nn = 20\ncp = 10\n")
+        assert main(["simulate", "stable", "--config", cfg, "--seed", "3"]) == 0
+        from_config = capsys.readouterr().out
+        assert main(["simulate", "stable", "--alpha", "1.9", "--n", "20",
+                     "--cp", "10", "--seed", "3"]) == 0
+        assert from_config == capsys.readouterr().out
 
     def test_bad_config_line(self, tmp_path, capsys):
         cfg = _write(tmp_path, "run.cfg", "just a dangling line\n")
@@ -597,9 +641,10 @@ class TestUsageErrors:
             (["detect", "--input", "x.csv", "--head-len", "x"], None),
             (["no-such-command"], None),
             (["detect", "--input", "x.csv"], "a = 1\n"),
+            (["detect", "--input", "x.csv", "--exact-naive"], None),
         ],
         ids=["bad-choice", "missing-input", "bad-int", "unknown-command",
-             "unknown-config-key"],
+             "unknown-config-key", "removed-exact-naive"],
     )
     def test_usage_error_contract(self, tmp_path, argv, config, capsys):
         if config is not None:

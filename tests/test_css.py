@@ -1,6 +1,8 @@
 """Unit tests for CSS traces, orientation, and the constant-prefix check."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scaleshift import (
     CssTrace,
@@ -14,6 +16,7 @@ from scaleshift import (
     reverse_sample,
     robust_css,
 )
+from scaleshift.estimators import QcvBounds
 from scaleshift.simulate import StableSpec, gen_stable_series, make_rng
 
 
@@ -155,6 +158,13 @@ class TestDetectOrientation:
         with pytest.raises(InsufficientLength):
             detect_orientation(_trace([1.0, 2.0, 3.0]))
 
+    @pytest.mark.parametrize("scale", [2.0**-60, 2.0**-30, 1.0, 2.0**40])
+    def test_tolerance_is_relative(self, scale):
+        # the same shapes in any units: a tiny trace is not "collinear"
+        n = np.arange(1.0, 51.0)
+        assert detect_orientation(_trace(scale * np.sqrt(n))) is Orientation.CONCAVE
+        assert detect_orientation(_trace(scale * n**2)) is Orientation.CONVEX
+
     def test_reversal_flips_orientation_on_scale_change(self):
         # orientation of the robust trace flips when a one-change sample is
         # reversed; checked over seeded generator output
@@ -170,6 +180,31 @@ class TestDetectOrientation:
             if fwd is not rev:
                 flipped += 1
         assert flipped >= 0.95 * len(seeds)
+
+
+class TestSignSymmetry:
+    """x -> -x leaves the BMID and classical traces bit-identical; QCV's
+    order-statistic window trims asymmetrically, so it is not symmetric."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(
+            st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False),
+            min_size=3,
+            max_size=60,
+        )
+    )
+    def test_bmid_and_classical_traces_are_sign_symmetric(self, values):
+        x = np.asarray(values)
+        for spec in (ScaleEstimatorSpec.bmid(), ScaleEstimatorSpec.classical()):
+            with np.errstate(over="ignore"):  # a MAD near the underflow limit
+                fwd, neg = robust_css(x, spec), robust_css(-x, spec)
+            assert np.array_equal(fwd.values, neg.values)
+            assert fwd.degenerate_prefixes == neg.degenerate_prefixes
+
+    def test_qcv_window_trims_asymmetrically(self):
+        # ranks 2..17 of 19: one point dropped at the bottom, two at the top
+        assert QcvBounds().window(19) == (1, 17)
 
 
 class TestConstantPrefixCheck:

@@ -15,7 +15,6 @@ from scaleshift import (
     classical_css,
     detect_oriented,
     detect_orientation,
-    detect_with_orientation,
     icss_detect,
     ols_detect,
     orient,
@@ -163,13 +162,15 @@ class TestDetectionResult:
 
 
 class TestDetectWithOrientation:
+    """The whole pipeline: ``orient``, then ``detect_oriented``."""
+
     def test_scale_increase_reverses(self):
         series, _ = gen_stable_series(
             StableSpec(alpha=1.8, gamma2=2.0, N=400, cp=200, seed=14)
         )
         tr = robust_css(series, ScaleEstimatorSpec.bmid())
         assert detect_orientation(tr) is Orientation.CONVEX
-        res = detect_with_orientation(series, METHOD_ICSS)
+        res = detect_oriented(orient(series), METHOD_ICSS)
         assert res.reversed_applied
         assert abs(res.change_point - 199) <= 40
 
@@ -179,19 +180,19 @@ class TestDetectWithOrientation:
         )
         tr = robust_css(series, ScaleEstimatorSpec.bmid())
         assert detect_orientation(tr) is Orientation.CONCAVE
-        res = detect_with_orientation(series, METHOD_ICSS)
+        res = detect_oriented(orient(series), METHOD_ICSS)
         assert not res.reversed_applied
         assert abs(res.change_point - 199) <= 40
 
     def test_reversal_mapping_is_consistent(self):
-        # detect on the reversed series without the wrapper and check the
-        # wrapper's mapped index equals N - cp_rev + 1
+        # detect on the reversed series directly and check the pipeline's
+        # mapped index equals N - cp_rev + 1
         from scaleshift import reverse_sample
 
         series, _ = gen_stable_series(
             StableSpec(alpha=1.8, gamma2=2.0, N=400, cp=200, seed=14)
         )
-        res = detect_with_orientation(series, METHOD_ICSS)
+        res = detect_oriented(orient(series), METHOD_ICSS)
         assert res.reversed_applied
         spec = ScaleEstimatorSpec.bmid()
         rev_trace = robust_css(reverse_sample(series), spec)
@@ -200,24 +201,24 @@ class TestDetectWithOrientation:
 
     def test_no_change_contract(self):
         x = make_rng(5).standard_normal(200)
-        res = detect_with_orientation(x, METHOD_ICSS)
+        res = detect_oriented(orient(x), METHOD_ICSS)
         assert 2 <= res.change_point <= 199
 
     def test_ols_route(self):
         series, _ = gen_stable_series(
             StableSpec(alpha=1.8, gamma2=2.0, N=400, cp=200, seed=14)
         )
-        res = detect_with_orientation(series, METHOD_OLS, ScaleEstimatorSpec.qcv())
+        res = detect_oriented(orient(series, ScaleEstimatorSpec.qcv()), METHOD_OLS)
         assert res.method == METHOD_OLS
         assert 2 <= res.change_point <= 399
 
     def test_min_length(self):
         with pytest.raises(InsufficientLength):
-            detect_with_orientation(np.ones(7), METHOD_ICSS)
+            orient(np.ones(7))
 
     def test_unknown_method_rejected(self):
         with pytest.raises(InvalidParameter):
-            detect_with_orientation(make_rng(0).standard_normal(50), "cusum")
+            detect_oriented(orient(make_rng(0).standard_normal(50)), "cusum")
 
 
 def _spiky_tail(k=5, n=300):
@@ -269,7 +270,7 @@ class TestOrient:
         o = orient(series, spec)
         for method in (METHOD_ICSS, METHOD_OLS):
             shared = detect_oriented(o, method)
-            alone = detect_with_orientation(series, method, spec)
+            alone = detect_oriented(orient(series, spec), method)
             assert shared.change_point == alone.change_point
             assert shared.reversed_applied == alone.reversed_applied
             assert shared.statistic_at_cp == alone.statistic_at_cp
@@ -280,7 +281,7 @@ class TestOrient:
             assert np.array_equal(alone.trace.values, o.trace.values)
 
     def test_fallback_result_flags(self):
-        res = detect_with_orientation(_spiky_tail(), METHOD_OLS)
+        res = detect_oriented(orient(_spiky_tail()), METHOD_OLS)
         assert res.constant_prefix_fallback and not res.reversed_applied
 
     def test_unknown_method_rejected(self):
@@ -307,8 +308,7 @@ class TestOrientationChoice:
         assert np.array_equal(
             o.trace.values, robust_css(reverse_sample(x), spec).values
         )
-        res = detect_with_orientation(x, METHOD_ICSS, spec, orientation="on")
-        assert res.reversed_applied
+        assert detect_oriented(o, METHOD_ICSS).reversed_applied
 
     @pytest.mark.parametrize("sigma2", [3.0, 1 / 3])
     def test_classical_on_scans_classical_css(self, sigma2):
@@ -339,8 +339,34 @@ class TestOrientationChoice:
         x = _two_regime_gaussian(n=100, cp=50)
         with pytest.raises(InvalidParameter):
             orient(x, orientation="sideways")
-        with pytest.raises(InvalidParameter):
-            detect_with_orientation(x, METHOD_OLS, orientation="sideways")
+
+
+class TestScaleEquivariance:
+    """Scaling a series by a power of two scales every trace by an exact
+    power of four, so neither the change point nor a flag may move."""
+
+    @pytest.mark.parametrize(
+        "scale", [2.0**-30, 2.0**-25, 2.0**20], ids=["2^-30", "2^-25", "2^20"]
+    )
+    @pytest.mark.parametrize(
+        "spec",
+        [ScaleEstimatorSpec.bmid(), ScaleEstimatorSpec.qcv(),
+         ScaleEstimatorSpec.classical()],
+        ids=["bmid", "qcv", "classical"],
+    )
+    def test_power_of_two_scaling(self, spec, scale):
+        for sigma2 in (3.0, 1 / 3):
+            x = _two_regime_gaussian(n=300, cp=150, sigma2=sigma2)
+            base = orient(x, spec, orientation="on")
+            scaled = orient(scale * x, spec, orientation="on")
+            assert np.array_equal(scaled.trace.values, scale**2 * base.trace.values)
+            for method in (METHOD_ICSS, METHOD_OLS):
+                a = detect_oriented(base, method)
+                b = detect_oriented(scaled, method)
+                assert (b.change_point, b.reversed_applied,
+                        b.constant_prefix_fallback) == (
+                    a.change_point, a.reversed_applied,
+                    a.constant_prefix_fallback)
 
 
 class TestNonFiniteTrace:
@@ -365,4 +391,4 @@ class TestNonFiniteTrace:
     def test_robust_pipeline(self, huge, method, spec):
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(NonFiniteTrace):
-                detect_with_orientation(huge, method, spec)
+                detect_oriented(orient(huge, spec), method)
