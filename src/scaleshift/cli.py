@@ -126,14 +126,25 @@ def _step_int(text: str, what: str) -> int:
     return value
 
 
+def _is_number(cell: str) -> bool:
+    try:
+        float(cell)
+    except ValueError:
+        return False
+    return True
+
+
 def ingest_csv(path, column=1) -> TimeSeries:
     """Read one column of a CSV file as a series of finite reals.
 
-    ``column`` is a 1-based index or a header name.  A non-numeric first row
-    is treated as a header.  Any unparseable or non-finite cell in the data
-    is a hard :class:`ParseError` carrying its line number, and so is a row
-    the CSV reader rejects (e.g. a cell over the field size limit); bytes
-    that do not decode give a :class:`ParseError` without one.
+    ``column`` is a 1-based index or a header name.  Blank rows are
+    skipped.  The first non-blank row is a header when its cell in the
+    column is not a number or, for a row too narrow to have that cell,
+    when one of its cells is neither blank nor a number.  Any other
+    unparseable, non-finite or missing cell is a hard :class:`ParseError`
+    carrying its line number, and so is a row the CSV reader rejects (e.g.
+    a cell over the field size limit); bytes that do not decode give a
+    :class:`ParseError` without one.
     """
     values = []
     with open(path, newline="") as fh:
@@ -141,6 +152,7 @@ def ingest_csv(path, column=1) -> TimeSeries:
         col_idx = None if isinstance(column, str) else int(column) - 1
         if col_idx is not None and col_idx < 0:
             raise ConfigError(f"column index must be >= 1, got {column}")
+        first = True  # no non-blank row seen yet
         try:
             for lineno, row in enumerate(reader, start=1):
                 # Fast path for the common row: a finite number in the
@@ -157,6 +169,8 @@ def ingest_csv(path, column=1) -> TimeSeries:
                         continue
                 if not row or all(not cell.strip() for cell in row):
                     continue
+                may_be_header = first and not values
+                first = False
                 if isinstance(column, str) and col_idx is None:
                     try:
                         col_idx = [c.strip() for c in row].index(column)
@@ -166,7 +180,9 @@ def ingest_csv(path, column=1) -> TimeSeries:
                         ) from None
                     continue
                 if col_idx >= len(row):
-                    if lineno == 1 and not values:
+                    if may_be_header and not all(
+                        _is_number(cell) for cell in row if cell.strip()
+                    ):
                         continue  # header narrower than the requested column
                     raise ParseError(
                         f"row has {len(row)} columns, need column {col_idx + 1}",
@@ -176,7 +192,7 @@ def ingest_csv(path, column=1) -> TimeSeries:
                 try:
                     v = float(cell)
                 except ValueError:
-                    if lineno == 1 and not values:
+                    if may_be_header:
                         continue  # header row
                     raise ParseError(
                         f"cannot parse {cell!r} as a real", line=lineno

@@ -8,6 +8,8 @@ the sample median and a robust scale estimate computed on each prefix.
 from __future__ import annotations
 
 import enum
+import math
+from bisect import bisect_left, insort_left
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,10 +24,6 @@ from .estimators import (
     BmidConfig,
     QcvBounds,
     _as_sample,
-    _bmid_core,
-    _mad_value,
-    _median_sorted,
-    _window_variance,
     bmid_variance,
     qcv_variance,
     sample_median,
@@ -148,50 +146,123 @@ def reverse_sample(values) -> np.ndarray:
     return arr[::-1].copy()
 
 
+def _mad_sorted(keys: list, med: float) -> float:
+    """Raw MAD about ``med`` of the sorted list ``keys``, by selection.
+
+    fl(x - med) is monotone in x, so |x - med| falls over the keys below
+    ``med`` and rises over the rest: two sorted runs.  A binary search for
+    how many of the k smallest deviations lie below ``med`` gives the
+    middle order statistics in O(log n), with the values and the
+    ``(v_h + v_{h+1}) / 2.0`` that sorting |x - med| would give.
+    """
+    n = len(keys)
+    k = (n + 1) >> 1                  # 1-based rank of the lower middle
+    p = bisect_left(keys, med)        # keys[:p] < med <= keys[p:]
+    # i of the k smallest come from below med and k - i from above: find
+    # the least i whose next deviation below is no smaller than the
+    # (k - i)-th one above
+    lo, hi = max(0, k - (n - p)), min(k, p)
+    while lo < hi:
+        i = (lo + hi) >> 1
+        if med - keys[p - 1 - i] < keys[p + k - 1 - i] - med:
+            lo = i + 1
+        else:
+            hi = i
+    below = med - keys[p - lo] if lo else 0.0
+    above = keys[p + k - 1 - lo] - med if lo < k else 0.0
+    kth = abs(max(below, above))
+    if n & 1:
+        return kth
+    below = med - keys[p - 1 - lo] if lo < p else math.inf
+    above = keys[p + k - lo] - med if p + k - lo < n else math.inf
+    return (kth + abs(min(below, above))) / 2.0
+
+
 def _scan_robust(
     arr: np.ndarray, spec: ScaleEstimatorSpec
 ) -> tuple[np.ndarray, tuple[int, ...]]:
     """Incremental robust scan using a sorted insertion buffer.
 
-    The buffer keeps the prefix in sorted order (binary-search insert plus a
-    memmove-style shift), so median, MAD, and QCV windows come straight off
-    contiguous slices.  BMID weight sums run over the prefix in original
-    sample order, matching the one-shot estimator bit-for-bit.
+    A list keeps the prefix in sorted order (binary-search insert), so the
+    median is one or two list reads and the MAD a selection from the
+    V-shaped |x - med| (:func:`_mad_sorted`).  BMID weight sums run over
+    the prefix in original sample order; QCV windows are contiguous slices
+    of a numpy copy of the sorted prefix.  Every value comes from the same
+    floating-point operations as the one-shot estimators, so the trace
+    matches the ``exact_naive`` oracle bit for bit.
     """
-    n_total = arr.size
-    out = np.empty(n_total)
+    out = np.empty(arr.size)
     out[0] = arr[0] * arr[0]
-    degenerate: list[int] = []
-    buf = np.empty(n_total)
-    buf[0] = arr[0]
-    size = 1
-    is_bmid = spec.kind == KIND_BMID
-    c = spec.bmid_config.c if is_bmid else 0.0
-    bounds = spec.qcv_bounds
-    for n in range(2, n_total + 1):
-        x = arr[n - 1]
-        pos = int(np.searchsorted(buf[:size], x))
-        buf[pos + 1 : size + 1] = buf[pos:size]
-        buf[pos] = x
-        size += 1
-        sorted_prefix = buf[:size]
-        med = _median_sorted(sorted_prefix)
-        if is_bmid:
-            mad_val = _mad_value(sorted_prefix, med)
-            if mad_val == 0.0:
-                var = 0.0
-                degenerate.append(n)
-            else:
-                var = _bmid_core(arr[:n], med, mad_val, c)
-        else:
-            lo, hi = bounds.window(n)
-            if hi - lo < 2:
-                var = 0.0
-                degenerate.append(n)
-            else:
-                var = _window_variance(sorted_prefix, lo, hi)
-        out[n - 1] = n * (var + med * med) - var
+    if spec.kind == KIND_BMID:
+        # a MAD near the underflow limit sends |u| to inf, which lies
+        # outside the weights |u| < 1 as it should
+        with np.errstate(over="ignore"):
+            degenerate = _bmid_prefixes(arr, spec.bmid_config.c, out)
+    else:
+        degenerate = _qcv_prefixes(arr, spec.qcv_bounds, out)
     return out, tuple(degenerate)
+
+
+def _bmid_prefixes(arr: np.ndarray, c: float, out: np.ndarray) -> list[int]:
+    """Fill out[1:] with the BMID trace; return the degenerate prefixes."""
+    degenerate = []
+    values = arr.tolist()
+    keys = values[:1]
+    add = np.add.reduce  # np.sum's pairwise sum, less its call overhead
+    for n in range(2, arr.size + 1):
+        insort_left(keys, values[n - 1])
+        h = n >> 1
+        med = keys[h] if n & 1 else (keys[h - 1] + keys[h]) / 2.0
+        mad_val = _mad_sorted(keys, med)
+        if mad_val == 0.0:
+            var = 0.0
+            degenerate.append(n)
+        else:
+            dev = arr[:n] - med
+            u2 = dev / (c * mad_val)
+            u2 *= u2  # fl(u * u) < 1 exactly when |u| < 1
+            inside = u2 < 1.0
+            d = dev[inside]
+            u2 = u2[inside]
+            w = 1.0 - u2
+            num = n * add(d * d * w ** 4)
+            den = add(w * (1.0 - 5.0 * u2)) ** 2
+            var = float(num / den)
+        out[n - 1] = n * (var + med * med) - var
+    return degenerate
+
+
+def _qcv_prefixes(arr: np.ndarray, bounds: QcvBounds, out: np.ndarray) -> list[int]:
+    """Fill out[1:] with the QCV trace; return the degenerate prefixes."""
+    degenerate = []
+    # QcvBounds.window(n) for every n: the same IEEE products n * a, n * b
+    sizes = np.arange(arr.size + 1)
+    los = np.floor(sizes * bounds.a).astype(int).tolist()
+    his = np.floor(sizes * bounds.b).astype(int).tolist()
+    values = arr.tolist()
+    keys = values[:1]
+    buf = np.empty(arr.size)  # the sorted prefix, for contiguous windows
+    buf[0] = values[0]
+    add = np.add.reduce  # np.sum's pairwise sum, less its call overhead
+    for n in range(2, arr.size + 1):
+        x = values[n - 1]
+        pos = bisect_left(keys, x)
+        keys.insert(pos, x)
+        buf[pos + 1 : n] = buf[pos : n - 1]
+        buf[pos] = x
+        h = n >> 1
+        med = keys[h] if n & 1 else (keys[h - 1] + keys[h]) / 2.0
+        lo, hi = los[n], his[n]
+        m = hi - lo
+        if m < 2:
+            var = 0.0
+            degenerate.append(n)
+        else:
+            w = buf[lo:hi]
+            d = w - add(w) / m
+            var = float(add(d * d) / m)
+        out[n - 1] = n * (var + med * med) - var
+    return degenerate
 
 
 def _scan_naive(

@@ -88,8 +88,7 @@ def _as_sample(values, min_len: int = 1, what: str = "sample") -> np.ndarray:
 
 
 def _median_sorted(sorted_values: np.ndarray) -> float:
-    """Median of an already-sorted array (shared by all code paths so that
-    incremental and naive scans agree bit-for-bit)."""
+    """Median of an already-sorted array."""
     n = sorted_values.size
     h = n // 2
     if n % 2:
@@ -105,11 +104,13 @@ def _mad_value(values: np.ndarray, med: float) -> float:
 def _bmid_core(values: np.ndarray, med: float, mad_val: float, c: float) -> float:
     """Biweight midvariance given precomputed median and MAD (> 0).
 
-    Iterates ``values`` in the order given; callers pass the original sample
-    order so the incremental trace scan reproduces the one-shot estimator
-    exactly.
+    Sums over ``values`` in the order given, the original sample order, as
+    the incremental trace scan in :mod:`scaleshift.css` does too.
     """
-    u = (values - med) / (c * mad_val)
+    # a MAD near the underflow limit sends |u| to inf, which lies outside
+    # the weights |u| < 1 as it should
+    with np.errstate(over="ignore"):
+        u = (values - med) / (c * mad_val)
     inside = np.abs(u) < 1.0
     d = values[inside] - med
     u2 = u[inside] ** 2

@@ -3,6 +3,7 @@ import csv
 import io
 import json
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -147,9 +148,14 @@ class TestIngestCsv:
     def test_header_narrower_than_column(self, tmp_path):
         path = _write(tmp_path, "l.csv", "v\n1,10\n2,20\n")
         assert ingest_csv(path, 2).values.tolist() == [10.0, 20.0]
-        # a narrow numeric first line is also skipped as a header
+        # a narrow first line of numbers is a short data row, not a header
         path = _write(tmp_path, "m.csv", "5\n1,10\n")
-        assert ingest_csv(path, 2).values.tolist() == [10.0]
+        assert self._error(path, 2) == ("row has 1 columns, need column 2", 1)
+        path = _write(tmp_path, "m2.csv", "\n5, \n1,10,100\n")
+        assert self._error(path, 3) == ("row has 2 columns, need column 3", 2)
+        # one non-numeric cell makes it a header
+        path = _write(tmp_path, "m3.csv", "5,t\n1,10,100\n")
+        assert ingest_csv(path, 3).values.tolist() == [100.0]
 
     def test_narrow_data_row_is_error(self, tmp_path):
         path = _write(tmp_path, "n.csv", "t,v\n1,10\n\n2\n")
@@ -176,10 +182,16 @@ class TestIngestCsv:
         assert exc.value.line == 3
         assert "field larger than field limit" in str(exc.value)
 
-    def test_header_after_blank_line_is_error(self, tmp_path):
-        # only the file's first line may be an unnamed header
+    def test_header_on_first_non_blank_line(self, tmp_path):
         path = _write(tmp_path, "q.csv", "\nv\n1.0\n")
-        assert self._error(path) == ("cannot parse 'v' as a real", 2)
+        assert ingest_csv(path).values.tolist() == [1.0]
+        narrow = _write(tmp_path, "q2.csv", " \n,\nv\n1,10\n")
+        assert ingest_csv(narrow, 2).values.tolist() == [10.0]
+        # only that one row may be a header
+        twice = _write(tmp_path, "q3.csv", "\nv\n\nw\n1.0\n")
+        assert self._error(twice) == ("cannot parse 'w' as a real", 4)
+        late = _write(tmp_path, "q4.csv", "1.0\n\nv\n2.0\n")
+        assert self._error(late) == ("cannot parse 'v' as a real", 3)
 
     @settings(
         max_examples=60,
@@ -363,6 +375,28 @@ class TestDetectCommand:
         assert rc == 0
         payload = json.loads(capsys.readouterr().out)
         assert abs(payload["change_point"] - 499) <= 50
+
+
+    def test_subnormal_mad_is_quiet(self, tmp_path, capsys):
+        # prefixes of subnormals next to values of order 1 have a MAD near
+        # the underflow limit, so |u| overflows to inf: outside the weights
+        cells = ["5e-324", "1e-323", "5e-324", "1.0", "2.0", "-1.0", "3.0",
+                 "0.5", "1e-323"]
+        path = _write(tmp_path, "sub.csv", "\n".join(cells) + "\n")
+        trace_path = tmp_path / "trace.csv"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = main(["detect", "--input", path, "--orientation", "off",
+                       "--trace-csv", str(trace_path)])
+        assert rc == 0
+        assert caught == []
+        assert capsys.readouterr().err == ""
+        with open(trace_path, newline="") as fh:
+            rows = list(csv.reader(fh))[1:]
+        got = np.array([float(r[1]) for r in rows])
+        want = robust_css([float(c) for c in cells], ScaleEstimatorSpec.bmid(),
+                          exact_naive=True).values
+        assert got.tobytes() == want.tobytes()
 
 
 class TestDetectScanCount:
