@@ -416,21 +416,42 @@ def _cmd_detect(args) -> int:
 
 
 def _write_trace_csv(path, result: DetectionResult) -> None:
-    """The scanned trace and statistic, in scan order, one row per index:
-    ``.17g`` values, CRLF line ends (as ``csv.writer`` writes them), and an
-    empty statistic cell where it is NaN."""
-    css, stat = result.trace.values, result.statistic_trace
+    """The scanned trace and statistic, in scan order, one row per index,
+    as :func:`_write_rows` writes them: the statistic cell is empty where
+    it is NaN."""
     with open(path, "w", newline="") as fh:
-        fh.write("n,css,statistic\r\n")
-        # Python floats format fastest; converting a block at a time keeps
-        # the whole trace from existing as Python floats at once.
-        for lo in range(0, css.size, TRACE_BLOCK_ROWS):
-            block = slice(lo, lo + TRACE_BLOCK_ROWS)
-            rows = zip(css[block].tolist(), stat[block].tolist())
-            fh.writelines(
-                f"{i},{cv:.17g},{'' if sv != sv else format(sv, '.17g')}\r\n"
-                for i, (cv, sv) in enumerate(rows, lo + 1)
-            )
+        _write_rows(
+            fh,
+            "n,css,statistic\r\n",
+            "%d,%.17g,%.17g\r\n",
+            result.trace.values,
+            result.statistic_trace,
+        )
+
+
+def _write_rows(fh, header: str, row: str, *columns: np.ndarray) -> None:
+    """Write ``header``, then one line per i = 1..N by the ``%`` template
+    ``row``: i, then the i-th entry of each column.  ``row`` ends in CRLF,
+    as ``csv.writer`` ends its rows, and a NaN in the last column is
+    written as an empty cell.
+
+    Each block of ``TRACE_BLOCK_ROWS`` rows is formatted by one ``%`` call
+    on its cells as Python numbers, so neither the cells nor the text of
+    more than one block exist at a time.
+    """
+    fh.write(header)
+    width = len(columns) + 1
+    size = columns[0].size
+    for lo in range(0, size, TRACE_BLOCK_ROWS):
+        hi = min(lo + TRACE_BLOCK_ROWS, size)
+        cells = [None] * ((hi - lo) * width)
+        cells[::width] = range(lo + 1, hi + 1)
+        for j, column in enumerate(columns, 1):
+            cells[j::width] = column[lo:hi].tolist()
+        text = row * (hi - lo) % tuple(cells)
+        # ",nan\r\n" can only be a last cell: every other cell is
+        # followed by a comma
+        fh.write(text.replace(",nan\r\n", ",\r\n"))
 
 
 def _parse_column(raw: str):
@@ -448,12 +469,9 @@ def _cmd_simulate(args) -> int:
         if args.output
         else contextlib.nullcontext(sys.stdout)
     )
+    regime = np.where(np.arange(1, series.size + 1) < cp, 1, 2)
     with out as fh:
-        fh.write("index,value,regime\r\n")
-        fh.writelines(
-            f"{i},{v:.17g},{1 if i < cp else 2}\r\n"
-            for i, v in enumerate(series.tolist(), start=1)
-        )
+        _write_rows(fh, "index,value,regime\r\n", "%d,%.17g,%d\r\n", series, regime)
     return 0
 
 

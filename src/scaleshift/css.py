@@ -133,8 +133,11 @@ class CssTrace:
 def classical_css(values) -> CssTrace:
     """Running prefix sum of squares, C_n = x_1^2 + ... + x_n^2."""
     arr = _as_sample(values, what="series")
+    # squares past the float range become inf, which NonFiniteTrace reports
+    with np.errstate(over="ignore"):
+        css = np.cumsum(arr * arr)
     return CssTrace(
-        values=np.cumsum(arr * arr),
+        values=css,
         estimator=ScaleEstimatorSpec.classical(),
         source_length=arr.size,
     )
@@ -192,14 +195,16 @@ def _scan_robust(
     matches the ``exact_naive`` oracle bit for bit.
     """
     out = np.empty(arr.size)
-    out[0] = arr[0] * arr[0]
-    if spec.kind == KIND_BMID:
-        # a MAD near the underflow limit sends |u| to inf, which lies
-        # outside the weights |u| < 1 as it should
-        with np.errstate(over="ignore"):
+    # Squares past the float range become inf, and sums of such values
+    # NaN, which NonFiniteTrace reports; a MAD near the underflow limit
+    # sends |u| to inf, which lies outside the BMID weights |u| < 1 as it
+    # should.  One errstate per scan, not per prefix.
+    with np.errstate(over="ignore", invalid="ignore"):
+        out[0] = arr[0] * arr[0]
+        if spec.kind == KIND_BMID:
             degenerate = _bmid_prefixes(arr, spec.bmid_config.c, out)
-    else:
-        degenerate = _qcv_prefixes(arr, spec.qcv_bounds, out)
+        else:
+            degenerate = _qcv_prefixes(arr, spec.qcv_bounds, out)
     return out, tuple(degenerate)
 
 
@@ -339,10 +344,13 @@ def detect_orientation(trace: CssTrace) -> Orientation:
     window = trace.values[1 : n_total - 1]          # n = 2 .. N-1
     y_first, y_last = window[0], window[-1]
     t = np.linspace(0.0, 1.0, window.size)
-    chord = y_first * (1.0 - t) + y_last * t
-    tol = 1e-12 * float(np.max(np.abs(window)))
-    above = int(np.sum(window > chord + tol))
-    below = int(np.sum(window < chord - tol))
+    # An overflowed trace gives inf/NaN chord points, which count to
+    # neither side; a detector refuses a non-finite trace (NonFiniteTrace).
+    with np.errstate(over="ignore", invalid="ignore"):
+        chord = y_first * (1.0 - t) + y_last * t
+        tol = 1e-12 * float(np.max(np.abs(window)))
+        above = int(np.sum(window > chord + tol))
+        below = int(np.sum(window < chord - tol))
     return Orientation.CONCAVE if above > below else Orientation.CONVEX
 
 
@@ -360,7 +368,8 @@ def constant_prefix_check(
             f"constant-prefix check needs N >= head_len + 2 = {head_len + 2}"
         )
     head = trace.values[1 : head_len + 1]
-    omega = float(np.mean(head))
+    with np.errstate(over="ignore"):  # a head near the float limit sums to inf
+        omega = float(np.mean(head))
     interior = trace.values[1 : n_total - 1]
     eps = float(np.sum(interior > omega)) / (n_total - 2)
     return eps < threshold

@@ -13,6 +13,8 @@ from hypothesis import strategies as st
 
 from scaleshift import (
     ConfigError,
+    CssTrace,
+    DetectionResult,
     EmptyColumn,
     MixtureSpec,
     NonPositiveForLog,
@@ -398,6 +400,26 @@ class TestDetectCommand:
                           exact_naive=True).values
         assert got.tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("estimator, orientation", [
+        ("classical", "auto"), ("classical", "off"), ("classical", "on"),
+        ("bmid", "auto"), ("bmid", "off"), ("qcv", "auto"), ("qcv", "off"),
+    ])
+    def test_overflowing_squares_contract(self, estimator, orientation,
+                                          tmp_path, capsys):
+        # squares of order 1e400 overflow float64: one NonFiniteTrace line
+        # and no numpy warning on the way
+        x = np.random.default_rng(5).standard_normal(50) * 1e200
+        path = _write(tmp_path, "big.csv", "\n".join(map(repr, x.tolist())) + "\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = main(["detect", "--input", path, "--estimator", estimator,
+                       "--orientation", orientation])
+        assert rc == 2
+        assert caught == []
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert json.loads(err[0])["error"] == "NonFiniteTrace"
+
 
 class TestDetectScanCount:
     """``--trace-csv`` writes the trace the detector scanned; it costs no
@@ -473,6 +495,38 @@ class TestTraceCsvBytes:
             assert b",\r\n" in want  # the statistic is undefined at the ends
         assert trace_path.read_bytes() == want
 
+    EDGE_VALUES = [-0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308]
+
+    @pytest.mark.parametrize("block_rows, n", [
+        (cli.TRACE_BLOCK_ROWS, 2 * cli.TRACE_BLOCK_ROWS - 1),
+        (cli.TRACE_BLOCK_ROWS, 2 * cli.TRACE_BLOCK_ROWS),
+        (cli.TRACE_BLOCK_ROWS, 2 * cli.TRACE_BLOCK_ROWS + 1),
+        (1, 4), (1, 5), (1, 6),
+        (7, 13), (7, 14), (7, 15),
+    ])
+    def test_edge_values_at_block_edges(self, block_rows, n, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "TRACE_BLOCK_ROWS", block_rows)
+        rng = np.random.default_rng(n)
+        css = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
+        stat = rng.standard_normal(n)
+        css[: len(self.EDGE_VALUES)] = self.EDGE_VALUES
+        stat[-len(self.EDGE_VALUES) :] = self.EDGE_VALUES
+        rows = np.arange(n)
+        stat[(rows % block_rows == 0) | (rows % block_rows == block_rows - 1)] = np.nan
+        result = DetectionResult(
+            change_point=2,
+            method="ols",
+            estimator=ScaleEstimatorSpec.classical(),
+            statistic_trace=stat,
+            reversed_applied=False,
+            constant_prefix_fallback=False,
+            statistic_at_cp=float(stat[1]),
+            trace=CssTrace(css, ScaleEstimatorSpec.classical(), n),
+        )
+        path = tmp_path / "trace.csv"
+        cli._write_trace_csv(str(path), result)
+        assert path.read_bytes() == self._reference(result)
+
 
 class TestDetectMatchesLibrary:
     """``scaleshift detect`` reports what the library pipeline returns for
@@ -547,11 +601,7 @@ class TestSimulateCommand:
         assert lines[0] == "index,value,regime"
         assert len(lines) == 13
 
-    def test_file_bytes(self, tmp_path):
-        path = tmp_path / "a.csv"
-        assert main(["simulate", "mixture", "--omega2", "5", "--nu", "15",
-                     "--n", "60", "--cp", "25", "--seed", "3",
-                     "--output", str(path)]) == 0
+    def test_file_bytes(self, tmp_path, monkeypatch):
         series, cp = gen_mixture_series(
             MixtureSpec(omega2=5.0, nu=15.0, p=0.05, N=60, cp=25, seed=3)
         )
@@ -562,7 +612,13 @@ class TestSimulateCommand:
             (i, format(float(v), ".17g"), 1 if i < cp else 2)
             for i, v in enumerate(series, 1)
         )
-        assert path.read_bytes() == buf.getvalue().encode()
+        path = tmp_path / "a.csv"
+        for block_rows in (cli.TRACE_BLOCK_ROWS, 1, 7):  # 1, 7: rows straddle blocks
+            monkeypatch.setattr(cli, "TRACE_BLOCK_ROWS", block_rows)
+            assert main(["simulate", "mixture", "--omega2", "5", "--nu", "15",
+                         "--n", "60", "--cp", "25", "--seed", "3",
+                         "--output", str(path)]) == 0
+            assert path.read_bytes() == buf.getvalue().encode()
 
     def test_stdout_equals_file(self, tmp_path, capsys):
         path = str(tmp_path / "a.csv")

@@ -1,4 +1,6 @@
 """Unit tests for the ICSS and OLS detectors and the orientation pipeline."""
+import warnings
+
 import numpy as np
 import pytest
 
@@ -371,24 +373,65 @@ class TestScaleEquivariance:
 
 class TestNonFiniteTrace:
     """Squares of |x| ~ 1e160 overflow float64; the detectors must refuse
-    the trace instead of reporting index 2 with a NaN statistic."""
+    the trace instead of reporting index 2 with a NaN statistic, and the
+    overflow raises no numpy warning on the way."""
+
+    SPECS = [
+        ScaleEstimatorSpec.classical(),
+        ScaleEstimatorSpec.bmid(),
+        ScaleEstimatorSpec.qcv(),
+    ]
 
     @pytest.fixture()
     def huge(self):
         return 1e160 * _two_regime_gaussian(n=200, cp=100)
 
     def test_classical_detectors(self, huge):
-        with np.errstate(over="ignore", invalid="ignore"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             trace = classical_css(huge)
             for detector in (icss_detect, ols_detect):
                 with pytest.raises(NonFiniteTrace):
                     detector(trace)
+            for orientation in ("auto", "on", "off"):
+                oriented = orient(huge, ScaleEstimatorSpec.classical(),
+                                  orientation=orientation)
+                with pytest.raises(NonFiniteTrace):
+                    detect_oriented(oriented, METHOD_ICSS)
 
     @pytest.mark.parametrize("method", [METHOD_ICSS, METHOD_OLS])
+    @pytest.mark.parametrize("spec", SPECS[1:])
+    def test_robust_pipeline(self, huge, method, spec):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for orientation in ("auto", "on", "off"):
+                oriented = orient(huge, spec, orientation=orientation)
+                with pytest.raises(NonFiniteTrace):
+                    detect_oriented(oriented, method)
+
+    @pytest.mark.parametrize("scale", [1e154, 1.7976931348623157e308])
+    @pytest.mark.parametrize("spec", SPECS)
+    def test_orient_is_quiet_at_the_float_limit(self, scale, spec):
+        # 1e154: finite squares whose sums overflow; the largest double:
+        # differences overflow too
+        x = _two_regime_gaussian(n=200, cp=100)
+        x = x / np.max(np.abs(x)) * scale
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            orient(x, spec, orientation="on")
+
     @pytest.mark.parametrize(
         "spec", [ScaleEstimatorSpec.bmid(), ScaleEstimatorSpec.qcv()]
     )
-    def test_robust_pipeline(self, huge, method, spec):
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(NonFiniteTrace):
-                detect_oriented(orient(huge, spec), method)
+    def test_lone_overflowing_first_value_still_detects(self, spec):
+        # Only x_1 is huge: the forward trace starts with inf, yet the
+        # chord test still sees the scale increase, and the reversed trace
+        # it selects, which ends at x_1, is finite
+        x = _two_regime_gaussian(n=600, cp=300)
+        x[0] = 1e200
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.isinf(robust_css(x, spec).values[0])
+            res = detect_oriented(orient(x, spec), METHOD_ICSS)
+        assert res.reversed_applied
+        assert abs(res.change_point - 300) <= 15
