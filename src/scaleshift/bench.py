@@ -158,31 +158,6 @@ def _generate(spec):
     raise ConfigError(f"unsupported generator spec {type(spec).__name__}")
 
 
-def _outcome(fn, *args):
-    """``fn(*args)``, or the ScaleShiftError it raised."""
-    try:
-        return fn(*args)
-    except ScaleShiftError as exc:
-        return exc
-
-
-def _detect_all(methods, values) -> list:
-    """Each method's change point on one series, or the ScaleShiftError it
-    raised.  Methods that share an estimator run on one oriented trace, so
-    each trace is built once per series."""
-    oriented = {}
-
-    def detect(method):
-        est = method.estimator
-        if est not in oriented:
-            oriented[est] = _outcome(orient, values, est)
-        if isinstance(oriented[est], ScaleShiftError):
-            raise oriented[est]  # every detector of est fails alike
-        return detect_oriented(oriented[est], method.detector).change_point
-
-    return [_outcome(detect, m) for m in methods]
-
-
 @dataclass(frozen=True)
 class MaeRow:
     grid_label: str
@@ -216,18 +191,21 @@ def _grid_label(spec) -> str:
     return " ".join(parts)
 
 
-def run_mae_study(cfg: BenchConfig, _detect_fn=None) -> MaeReport:
+def run_mae_study(cfg: BenchConfig) -> MaeReport:
     """MAE per (grid point, method) over seeded trials.
 
     Ground truth is cp - 1 (the detectors' raw index lands on the last point
     of the first regime).  Trials whose detection raises are recorded as
     failures and excluded from the mean, never imputed.
 
-    ``_detect_fn(method, values, truth)`` is a test hook replacing the real
-    detection.  By default every trace is built once per (trial, estimator)
-    and shared by all detectors of that estimator; results equal
-    ``detect_oriented(orient(values, estimator), detector)`` per method.
+    Each trial calls :func:`orient` once per estimator and runs every
+    detector of that estimator on the result with :func:`detect_oriented`.
+    An error from :func:`orient` is recorded for each of those methods, one
+    from a detector for its own method only.
     """
+    groups: dict[ScaleEstimatorSpec, list[int]] = {}
+    for i, method in enumerate(cfg.methods):
+        groups.setdefault(method.estimator, []).append(i)
     rows = []
     for spec in cfg.grid:
         gp = grid_point_id(spec)
@@ -239,15 +217,20 @@ def run_mae_study(cfg: BenchConfig, _detect_fn=None) -> MaeReport:
         failures = [[] for _ in cfg.methods]
         for t, s in enumerate(seeds):
             x, _ = _generate(dataclasses.replace(spec, seed=s))
-            if _detect_fn is None:
-                outcomes = _detect_all(cfg.methods, x)
-            else:
-                outcomes = [_outcome(_detect_fn, m, x, truth) for m in cfg.methods]
-            for i, o in enumerate(outcomes):
-                if isinstance(o, ScaleShiftError):
-                    failures[i].append((t, type(o).__name__))
-                else:
-                    detections[i].append(int(o))
+            for estimator, group in groups.items():
+                try:
+                    oriented = orient(x, estimator)
+                except ScaleShiftError as exc:
+                    for i in group:
+                        failures[i].append((t, type(exc).__name__))
+                    continue
+                for i in group:
+                    try:
+                        result = detect_oriented(oriented, cfg.methods[i].detector)
+                    except ScaleShiftError as exc:
+                        failures[i].append((t, type(exc).__name__))
+                    else:
+                        detections[i].append(result.change_point)
         for method, found, failed in zip(cfg.methods, detections, failures):
             errors = [abs(d - truth) for d in found]
             mae = float(np.mean(errors)) if errors else math.nan

@@ -181,33 +181,6 @@ def _mad_sorted(keys: list, med: float) -> float:
     return (kth + abs(min(below, above))) / 2.0
 
 
-def _scan_robust(
-    arr: np.ndarray, spec: ScaleEstimatorSpec
-) -> tuple[np.ndarray, tuple[int, ...]]:
-    """Incremental robust scan using a sorted insertion buffer.
-
-    A list keeps the prefix in sorted order (binary-search insert), so the
-    median is one or two list reads and the MAD a selection from the
-    V-shaped |x - med| (:func:`_mad_sorted`).  BMID weight sums run over
-    the prefix in original sample order; QCV windows are contiguous slices
-    of a numpy copy of the sorted prefix.  Every value comes from the same
-    floating-point operations as the one-shot estimators, so the trace
-    matches the ``exact_naive`` oracle bit for bit.
-    """
-    out = np.empty(arr.size)
-    # Squares past the float range become inf, and sums of such values
-    # NaN, which NonFiniteTrace reports; a MAD near the underflow limit
-    # sends |u| to inf, which lies outside the BMID weights |u| < 1 as it
-    # should.  One errstate per scan, not per prefix.
-    with np.errstate(over="ignore", invalid="ignore"):
-        out[0] = arr[0] * arr[0]
-        if spec.kind == KIND_BMID:
-            degenerate = _bmid_prefixes(arr, spec.bmid_config.c, out)
-        else:
-            degenerate = _qcv_prefixes(arr, spec.qcv_bounds, out)
-    return out, tuple(degenerate)
-
-
 def _bmid_prefixes(arr: np.ndarray, c: float, out: np.ndarray) -> list[int]:
     """Fill out[1:] with the BMID trace; return the degenerate prefixes."""
     degenerate = []
@@ -270,16 +243,14 @@ def _qcv_prefixes(arr: np.ndarray, bounds: QcvBounds, out: np.ndarray) -> list[i
     return degenerate
 
 
-def _scan_naive(
-    arr: np.ndarray, spec: ScaleEstimatorSpec
-) -> tuple[np.ndarray, tuple[int, ...]]:
-    """Oracle scan for a robust spec: recompute median and scale from
-    scratch per prefix by calling the public estimators."""
-    n_total = arr.size
-    out = np.empty(n_total)
-    out[0] = arr[0] * arr[0]
-    degenerate: list[int] = []
-    for n in range(2, n_total + 1):
+def _naive_prefixes(
+    arr: np.ndarray, spec: ScaleEstimatorSpec, out: np.ndarray
+) -> list[int]:
+    """Fill out[1:] by recomputing the median and the robust scale of every
+    prefix from scratch through the public estimators; return the
+    degenerate prefixes."""
+    degenerate = []
+    for n in range(2, arr.size + 1):
         prefix = arr[:n]
         med = sample_median(prefix)
         try:
@@ -291,7 +262,7 @@ def _scan_naive(
             var = 0.0
             degenerate.append(n)
         out[n - 1] = n * (var + med * med) - var
-    return out, tuple(degenerate)
+    return degenerate
 
 
 def robust_css(
@@ -309,23 +280,39 @@ def robust_css(
 
     A classical spec gives :func:`classical_css`, the running sum of
     squares that the identity reduces to with the mean and the sample
-    variance, whatever ``exact_naive`` says.  For a robust spec,
-    ``exact_naive=True``
-    recomputes every prefix from scratch through the public estimators; it
-    is the equivalence oracle for the default incremental scan.
+    variance, whatever ``exact_naive`` says.
+
+    For a robust spec the default scan keeps the prefix in a sorted list
+    (binary-search insert), so the median is one or two list reads and the
+    MAD a selection from the V-shaped |x - med| (:func:`_mad_sorted`).
+    BMID weight sums run over the prefix in original sample order; QCV
+    windows are contiguous slices of a numpy copy of the sorted prefix.
+    ``exact_naive=True`` recomputes every prefix from scratch through the
+    public estimators; it is the equivalence oracle for the default scan,
+    which performs the same floating-point operations and so matches it bit
+    for bit.
     """
     arr = _as_sample(values, min_len=3, what="series")
     if spec.kind == KIND_CLASSICAL:
         return classical_css(arr)
-    if exact_naive:
-        out, degenerate = _scan_naive(arr, spec)
-    else:
-        out, degenerate = _scan_robust(arr, spec)
+    out = np.empty(arr.size)
+    # Squares past the float range become inf, and sums of such values
+    # NaN, which NonFiniteTrace reports; a MAD near the underflow limit
+    # sends |u| to inf, which lies outside the BMID weights |u| < 1 as it
+    # should.  One errstate per scan, not per prefix.
+    with np.errstate(over="ignore", invalid="ignore"):
+        out[0] = arr[0] * arr[0]
+        if exact_naive:
+            degenerate = _naive_prefixes(arr, spec, out)
+        elif spec.kind == KIND_BMID:
+            degenerate = _bmid_prefixes(arr, spec.bmid_config.c, out)
+        else:
+            degenerate = _qcv_prefixes(arr, spec.qcv_bounds, out)
     return CssTrace(
         values=out,
         estimator=spec,
         source_length=arr.size,
-        degenerate_prefixes=degenerate,
+        degenerate_prefixes=tuple(degenerate),
     )
 
 

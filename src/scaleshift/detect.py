@@ -142,7 +142,9 @@ def ols_detect(trace: CssTrace, *, exact_refit: bool = False) -> DetectionResult
     any fixed line, and the conditioning improves enormously).  With
     ``exact_refit=True`` every candidate is refit from scratch — the oracle
     for the fast path.  Entries of ``statistic_trace`` outside the candidate
-    range are NaN.
+    range are NaN.  When the fast path overflows (a finite trace near the
+    float limit whose detrended squares do not fit) it raises
+    :class:`NonFiniteTrace`.
     """
     n_total = trace.source_length
     if n_total < 6:
@@ -155,27 +157,32 @@ def ols_detect(trace: CssTrace, *, exact_refit: bool = False) -> DetectionResult
         for n in range(2, n_total - 1):
             s[n - 1] = _refit_ssr(j[:n], c[:n]) + _refit_ssr(j[n:], c[n:])
     else:
-        chord = c[0] + (c[-1] - c[0]) * (j - 1.0) / (n_total - 1.0)
-        d = c - chord
-        p1 = np.cumsum(d)
-        pj = np.cumsum(j * d)
-        p2 = np.cumsum(d * d)
+        k = slice(1, n_total - 2)  # candidates n = 2..N-2, at index n - 1
         sj, sjj = _exact_ints(n_total)
-        n_arr = np.arange(2, n_total - 1)
-        i = n_arr - 1
-        left = _ssr_from_stats(
-            n_arr.astype(float), sj[i], p1[i], sjj[i], pj[i], p2[i]
-        )
-        m_r = (n_total - n_arr).astype(float)
-        right = _ssr_from_stats(
-            m_r,
-            sj[-1] - sj[i],
-            p1[-1] - p1[i],
-            sjj[-1] - sjj[i],
-            pj[-1] - pj[i],
-            p2[-1] - p2[i],
-        )
-        s[1 : n_total - 2] = left + right
+        # A finite trace near the float limit can still overflow d * d or
+        # dxy * dxy; an inf clipped to an SSR of 0 would win the argmin.
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                chord = c[0] + (c[-1] - c[0]) * (j - 1.0) / (n_total - 1.0)
+                d = c - chord
+                p1 = np.cumsum(d)
+                pj = np.cumsum(j * d)
+                p2 = np.cumsum(d * d)
+                left = _ssr_from_stats(j[k], sj[k], p1[k], sjj[k], pj[k], p2[k])
+                right = _ssr_from_stats(
+                    n_total - j[k],
+                    sj[-1] - sj[k],
+                    p1[-1] - p1[k],
+                    sjj[-1] - sjj[k],
+                    pj[-1] - pj[k],
+                    p2[-1] - p2[k],
+                )
+        except FloatingPointError:
+            raise NonFiniteTrace(
+                "OLS statistic overflows float64 on this trace; "
+                "rescale the series"
+            ) from None
+        s[k] = left + right
     valid = s[1 : n_total - 2]
     cp = 2 + int(np.argmin(valid))
     return DetectionResult(

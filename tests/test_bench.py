@@ -1,11 +1,14 @@
 """Unit tests for the Monte Carlo benchmark harness."""
 import csv
+import dataclasses
 import json
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import scaleshift.bench
 from scaleshift import (
     BenchConfig,
     ConfigError,
@@ -15,9 +18,12 @@ from scaleshift import (
     Method,
     MixtureSpec,
     ScaleEstimatorSpec,
+    ScaleShiftError,
     StableSpec,
+    ZeroTotalSumOfSquares,
     default_methods,
     detect_oriented,
+    gen_stable_series,
     grid_point_id,
     median_ci_ranks,
     normalized_error,
@@ -44,6 +50,17 @@ def _small_cfg(methods=None, trials=4):
         methods=methods or (Method("icss", ScaleEstimatorSpec.classical()),),
         trials=trials,
         base_seed=7,
+    )
+
+
+def _fake_pipeline(monkeypatch, detect):
+    """Stand in for the study's pipeline: ``orient`` passes the series
+    through and ``detect_oriented`` reports ``detect(series)``."""
+    monkeypatch.setattr(scaleshift.bench, "orient", lambda values, estimator: values)
+    monkeypatch.setattr(
+        scaleshift.bench,
+        "detect_oriented",
+        lambda values, detector: SimpleNamespace(change_point=detect(values)),
     )
 
 
@@ -155,38 +172,76 @@ class TestRunMaeStudy:
             assert row.detections == by_label_flipped[label].detections
             assert row.seeds == by_label_flipped[label].seeds
 
-    def test_oracle_detector_has_zero_mae(self):
-        cfg = _small_cfg()
-        report = run_mae_study(cfg, _detect_fn=lambda m, x, truth: truth)
+    def test_oracle_detector_has_zero_mae(self, monkeypatch):
+        _fake_pipeline(monkeypatch, lambda values: 29)
+        report = run_mae_study(_small_cfg())
         assert all(r.mae == 0.0 for r in report.rows)
 
-    def test_truth_is_cp_minus_one(self):
-        cfg = _small_cfg()
-        report = run_mae_study(cfg, _detect_fn=lambda m, x, truth: truth)
+    def test_truth_is_cp_minus_one(self, monkeypatch):
+        _fake_pipeline(monkeypatch, lambda values: 29)
+        report = run_mae_study(_small_cfg())
         assert all(r.truth == 29 for r in report.rows)
 
-    def test_failures_recorded_not_dropped(self):
-        def flaky(method, values, truth):
+    def test_failures_recorded_not_dropped(self, monkeypatch):
+        def flaky(values):
             if float(values[0]) < 0:
                 raise DegenerateScale("synthetic failure")
-            return truth + 1
+            return 30
 
+        _fake_pipeline(monkeypatch, flaky)
         cfg = _small_cfg()
-        report = run_mae_study(cfg, _detect_fn=flaky)
+        report = run_mae_study(cfg)
         for row in report.rows:
             assert len(row.detections) + len(row.failures) == cfg.trials
             assert all(err == "DegenerateScale" for _, err in row.failures)
             if row.detections:
                 assert row.mae == 1.0
 
-    def test_all_failures_give_nan_mae(self):
-        def broken(method, values, truth):
+    def test_all_failures_give_nan_mae(self, monkeypatch):
+        def broken(values):
             raise DegenerateScale("always")
 
-        report = run_mae_study(_small_cfg(), _detect_fn=broken)
+        _fake_pipeline(monkeypatch, broken)
+        report = run_mae_study(_small_cfg())
         for row in report.rows:
             assert math.isnan(row.mae)
             assert len(row.failures) == 4
+
+    def test_failures_recorded_for_the_failing_stage(self, monkeypatch):
+        # orient fails for QCV: both QCV methods record it; the detector
+        # fails for OLS on BMID: only that method records it
+        calls = []
+
+        def fake_orient(values, estimator):
+            calls.append(estimator.kind)
+            if estimator.kind == "qcv":
+                raise DegenerateScale("orient")
+            return estimator
+
+        def fake_detect(estimator, detector):
+            if (estimator.kind, detector) == ("bmid", "ols"):
+                raise ZeroTotalSumOfSquares("detector")
+            return SimpleNamespace(change_point=29)
+
+        monkeypatch.setattr(scaleshift.bench, "orient", fake_orient)
+        monkeypatch.setattr(scaleshift.bench, "detect_oriented", fake_detect)
+        cfg = _small_cfg(methods=default_methods(), trials=3)
+        report = run_mae_study(cfg)
+        assert sorted(calls) == sorted(["classical", "bmid", "qcv"] * 6)
+        failed = {
+            "OLS[BMID]": "ZeroTotalSumOfSquares",
+            "ICSS[QCV]": "DegenerateScale",
+            "OLS[QCV]": "DegenerateScale",
+        }
+        for row in report.rows:
+            if row.method in failed:
+                assert row.detections == ()
+                assert row.failures == tuple(
+                    (t, failed[row.method]) for t in range(cfg.trials)
+                )
+            else:
+                assert row.detections == (29, 29, 29)
+                assert row.failures == ()
 
     def test_real_detection_small(self):
         cfg = _small_cfg(trials=3)
@@ -225,17 +280,26 @@ class TestSharedRobustTrace:
             trials=3,
             base_seed=3,
         )
-
-        def one_by_one(m, values, truth):
-            oriented = orient(values, m.estimator)
-            return detect_oriented(oriented, m.detector).change_point
-
         shared = run_mae_study(cfg)
-        separate = run_mae_study(cfg, _detect_fn=one_by_one)
-        for a, b in zip(shared.rows, separate.rows):
-            assert a.method == b.method
-            assert a.detections == b.detections
-            assert a.failures == b.failures
+        rows = iter(shared.rows)
+        for spec in cfg.grid:
+            gp = grid_point_id(spec)
+            for m in cfg.methods:
+                detections, failures = [], []
+                for t in range(cfg.trials):
+                    s = trial_seed(cfg.base_seed, gp, t)
+                    x, _ = gen_stable_series(dataclasses.replace(spec, seed=s))
+                    try:
+                        oriented = orient(x, m.estimator)
+                        cp = detect_oriented(oriented, m.detector).change_point
+                    except ScaleShiftError as exc:
+                        failures.append((t, type(exc).__name__))
+                    else:
+                        detections.append(cp)
+                row = next(rows)
+                assert row.method == m.label
+                assert row.detections == tuple(detections)
+                assert row.failures == tuple(failures)
         if n == 7:
             assert all(
                 len(r.failures) == 3 for r in shared.rows if "[" in r.method

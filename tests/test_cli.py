@@ -421,6 +421,22 @@ class TestDetectCommand:
         assert json.loads(err[0])["error"] == "NonFiniteTrace"
 
 
+    @pytest.mark.parametrize("estimator", ["classical", "bmid", "qcv"])
+    def test_overflowing_ols_statistic_contract(self, estimator, tmp_path,
+                                                capsys):
+        # the trace (order 1e302) is finite; the OLS statistic overflows
+        x = np.random.default_rng(5).standard_normal(50) * 1e150
+        path = _write(tmp_path, "big.csv", "\n".join(map(repr, x.tolist())) + "\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = main(["detect", "--input", path, "--estimator", estimator,
+                       "--method", "ols"])
+        assert rc == 2
+        assert caught == []
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert json.loads(err[0])["error"] == "NonFiniteTrace"
+
 class TestDetectScanCount:
     """``--trace-csv`` writes the trace the detector scanned; it costs no
     extra robust scan."""

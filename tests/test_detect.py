@@ -409,6 +409,20 @@ class TestNonFiniteTrace:
                 with pytest.raises(NonFiniteTrace):
                     detect_oriented(oriented, method)
 
+    @pytest.mark.parametrize("scale", [1e76, 1e150])
+    @pytest.mark.parametrize("spec", SPECS)
+    def test_ols_refuses_overflow_on_a_finite_trace(self, scale, spec):
+        # the trace fits in float64, but OLS squares the chord-detrended
+        # trace (1e150) or its cross sums (1e76), and an SSR clipped or
+        # NaN after the overflow once put the change point at 2
+        x = np.random.default_rng(5).standard_normal(50) * scale
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            oriented = orient(x, spec)
+            assert np.all(np.isfinite(oriented.trace.values))
+            with pytest.raises(NonFiniteTrace):
+                detect_oriented(oriented, METHOD_OLS)
+
     @pytest.mark.parametrize("scale", [1e154, 1.7976931348623157e308])
     @pytest.mark.parametrize("spec", SPECS)
     def test_orient_is_quiet_at_the_float_limit(self, scale, spec):
