@@ -116,12 +116,21 @@ def icss_detect(trace: CssTrace) -> DetectionResult:
     )
 
 
-def _exact_ints(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Prefix sums of j and j^2 for j = 1..n, exact in float64."""
-    j = np.arange(1, n + 1, dtype=np.int64)
-    return (j * (j + 1) // 2).astype(float), (j * (j + 1) * (2 * j + 1) // 6).astype(
-        float
-    )
+def _exact_ints(j: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sums of i and i^2 over i = 1..j for each int64 ``j``, as float64.
+
+    Both are exact integers while they stay below 2^53 (the sum of squares
+    up to j ~ 300 000) and correctly rounded beyond, up to j ~ 1.3e8.  The
+    sum of squares is never formed as j(j+1)(2j+1) in int64, which wraps
+    from j ~ 1.66 M on: it is a = j(j+1)/2 times (2j+1)/3, with the 3 taken
+    from whichever factor it divides, and the last product in float64.
+    """
+    a = j * (j + 1) // 2
+    b = 2 * j + 1
+    a_takes_3 = a % 3 == 0
+    a3 = np.where(a_takes_3, a // 3, a).astype(float)
+    b3 = np.where(a_takes_3, b, b // 3).astype(float)
+    return a.astype(float), a3 * b3
 
 
 def _ssr_from_stats(m, sx, sy, sxx, sxy, syy):
@@ -133,57 +142,105 @@ def _ssr_from_stats(m, sx, sy, sxx, sxy, syy):
     return np.maximum(ssr, 0.0)
 
 
+# Rows of the trace per block of the OLS fast scan; its temporaries are
+# O(block), so only the N-long statistic grows with the series.
+OLS_BLOCK_ROWS = 8192
+
+
+def _prefix_blocks(c: np.ndarray):
+    """Yield ``(lo, j, p1, pj, p2)`` for each block of ``OLS_BLOCK_ROWS``
+    rows of the trace ``c`` from row ``lo`` on: the 1-based indices ``j`` and
+    the running sums of d, j*d and d*d, where d is ``c`` minus its end-point
+    chord.
+
+    ``np.cumsum`` adds left to right, so a block summed after the previous
+    block's last value repeats the additions of one cumsum over the whole
+    trace bit for bit; the first block takes a plain cumsum, so a leading
+    -0.0 keeps its sign.
+    """
+    n_total = c.shape[0]
+    last = None
+    for lo in range(0, n_total, OLS_BLOCK_ROWS):
+        hi = min(lo + OLS_BLOCK_ROWS, n_total)
+        j = np.arange(lo + 1, hi + 1, dtype=float)
+        chord = c[0] + (c[-1] - c[0]) * (j - 1.0) / (n_total - 1.0)
+        d = c[lo:hi] - chord
+        terms = (d, j * d, d * d)
+        if last is None:
+            sums = [np.cumsum(t) for t in terms]
+        else:
+            sums = [np.cumsum(np.concatenate(([x], t)))[1:] for x, t in zip(last, terms)]
+        last = [p[-1] for p in sums]
+        yield lo, j, *sums
+
+
+def _fast_scan(c: np.ndarray, s: np.ndarray) -> None:
+    """Write the combined SSR of every candidate n = 2..N-2 into
+    ``s[n - 1]`` from prefix sums, in two passes over blocks of the trace:
+    the first finds the totals, the second the statistic."""
+    n_total = c.shape[0]
+    for *_, p1, pj, p2 in _prefix_blocks(c):
+        pass
+    t1, tj, t2 = p1[-1], pj[-1], p2[-1]
+    sj_n, sjj_n = (v[0] for v in _exact_ints(np.array([n_total])))
+    for lo, j, p1, pj, p2 in _prefix_blocks(c):
+        # candidates n = 2..N-2 sit at rows 1..N-3
+        k = slice(max(lo, 1) - lo, min(lo + j.size, n_total - 2) - lo)
+        if k.start >= k.stop:
+            continue
+        jk = j[k]
+        sj, sjj = _exact_ints(jk.astype(np.int64))
+        left = _ssr_from_stats(jk, sj, p1[k], sjj, pj[k], p2[k])
+        right = _ssr_from_stats(
+            n_total - jk,
+            sj_n - sj,
+            t1 - p1[k],
+            sjj_n - sjj,
+            tj - pj[k],
+            t2 - p2[k],
+        )
+        s[lo + k.start : lo + k.stop] = left + right
+
+
 def ols_detect(trace: CssTrace, *, exact_refit: bool = False) -> DetectionResult:
     """Argmin over candidates n in {2..N-2} of the combined SSR of two line
     fits to (j, C_j), j = 1..n and j = n+1..N.
 
     The scan is O(N) via prefix sufficient statistics after subtracting the
     end-point chord from the trace (residuals are invariant under subtracting
-    any fixed line, and the conditioning improves enormously).  With
-    ``exact_refit=True`` every candidate is refit from scratch — the oracle
-    for the fast path.  Entries of ``statistic_trace`` outside the candidate
-    range are NaN.  When the fast path overflows (a finite trace near the
-    float limit whose detrended squares do not fit) it raises
-    :class:`NonFiniteTrace`.
+    any fixed line, and the conditioning improves enormously).  It runs over
+    blocks of ``OLS_BLOCK_ROWS`` rows, so besides the N-long statistic it
+    holds only block-sized arrays.  With ``exact_refit=True`` every
+    candidate is refit from scratch — the oracle for the fast path.
+    Entries of ``statistic_trace`` outside the candidate range are NaN.
+    When either path overflows (a finite trace near the float limit whose
+    detrended squares do not fit) it raises :class:`NonFiniteTrace`.
     """
     n_total = trace.source_length
     if n_total < 6:
         raise InsufficientLength("OLS split fitting needs at least 6 points")
     _require_finite(trace)
     c = trace.values
-    j = np.arange(1, n_total + 1, dtype=float)
     s = np.full(n_total, np.nan)
-    if exact_refit:
-        for n in range(2, n_total - 1):
-            s[n - 1] = _refit_ssr(j[:n], c[:n]) + _refit_ssr(j[n:], c[n:])
-    else:
-        k = slice(1, n_total - 2)  # candidates n = 2..N-2, at index n - 1
-        sj, sjj = _exact_ints(n_total)
-        # A finite trace near the float limit can still overflow d * d or
-        # dxy * dxy; an inf clipped to an SSR of 0 would win the argmin.
-        try:
-            with np.errstate(over="raise", invalid="raise"):
-                chord = c[0] + (c[-1] - c[0]) * (j - 1.0) / (n_total - 1.0)
-                d = c - chord
-                p1 = np.cumsum(d)
-                pj = np.cumsum(j * d)
-                p2 = np.cumsum(d * d)
-                left = _ssr_from_stats(j[k], sj[k], p1[k], sjj[k], pj[k], p2[k])
-                right = _ssr_from_stats(
-                    n_total - j[k],
-                    sj[-1] - sj[k],
-                    p1[-1] - p1[k],
-                    sjj[-1] - sjj[k],
-                    pj[-1] - pj[k],
-                    p2[-1] - p2[k],
-                )
-        except FloatingPointError:
-            raise NonFiniteTrace(
-                "OLS statistic overflows float64 on this trace; "
-                "rescale the series"
-            ) from None
-        s[k] = left + right
     valid = s[1 : n_total - 2]
+    # A finite trace near the float limit can still overflow d * d or
+    # dxy * dxy; an inf clipped to an SSR of 0 would win the argmin.
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            if exact_refit:
+                j = np.arange(1, n_total + 1, dtype=float)
+                for n in range(2, n_total - 1):
+                    s[n - 1] = _refit_ssr(j[:n], c[:n]) + _refit_ssr(j[n:], c[n:])
+            else:
+                _fast_scan(c, s)
+        # lstsq inside np.polyfit runs under its own errstate, so a refit
+        # can come out NaN without raising
+        if not np.all(np.isfinite(valid)):
+            raise FloatingPointError
+    except FloatingPointError:
+        raise NonFiniteTrace(
+            "OLS statistic overflows float64 on this trace; rescale the series"
+        ) from None
     cp = 2 + int(np.argmin(valid))
     return DetectionResult(
         change_point=cp,

@@ -1,8 +1,13 @@
 """Unit tests for the ICSS and OLS detectors and the orientation pipeline."""
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import scaleshift.detect as detect_module
 
 from scaleshift import (
     METHOD_ICSS,
@@ -147,6 +152,138 @@ class TestOlsDetect:
     def test_min_length(self):
         with pytest.raises(InsufficientLength):
             ols_detect(classical_css([1.0, 2.0, 3.0, 4.0, 5.0]))
+
+
+def _one_shot_ols_statistic(c):
+    """The OLS fast scan as one pass over the whole trace, with N-long
+    temporaries: the reference the blocked scan must match bit for bit.
+    Returns the statistic and the prefix sums of d, j*d and d*d."""
+    n_total = c.size
+    j = np.arange(1, n_total + 1, dtype=float)
+    ji = np.arange(1, n_total + 1, dtype=np.int64)
+    sj = (ji * (ji + 1) // 2).astype(float)
+    sjj = (ji * (ji + 1) * (2 * ji + 1) // 6).astype(float)
+    k = slice(1, n_total - 2)
+    s = np.full(n_total, np.nan)
+    with np.errstate(over="raise", invalid="raise"):
+        chord = c[0] + (c[-1] - c[0]) * (j - 1.0) / (n_total - 1.0)
+        d = c - chord
+        p1 = np.cumsum(d)
+        pj = np.cumsum(j * d)
+        p2 = np.cumsum(d * d)
+        ssr = detect_module._ssr_from_stats
+        left = ssr(j[k], sj[k], p1[k], sjj[k], pj[k], p2[k])
+        right = ssr(n_total - j[k], sj[-1] - sj[k], p1[-1] - p1[k],
+                    sjj[-1] - sjj[k], pj[-1] - pj[k], p2[-1] - p2[k])
+    s[k] = left + right
+    return s, (p1, pj, p2)
+
+
+def _blocked_ols_statistic(trace, block):
+    with pytest.MonkeyPatch.context() as mp:
+        if block is not None:
+            mp.setattr(detect_module, "OLS_BLOCK_ROWS", block)
+        return ols_detect(trace).statistic_trace
+
+
+def _signed_zero_head(n):
+    # a trace that starts at -0.0 gives a chord-detrended head of -0.0,
+    # whose sign a cumsum continued from +0.0 would lose
+    c = np.cumsum(make_rng(n).standard_normal(n) ** 2)
+    c[:5] = -0.0
+    return _wrap(c)
+
+
+def _blocked_prefix_sums(trace, block):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(detect_module, "OLS_BLOCK_ROWS", block)
+        blocks = list(detect_module._prefix_blocks(trace.values))
+    return tuple(np.concatenate([b[i] for b in blocks]) for i in (2, 3, 4))
+
+
+def _robust_trace(n):
+    x = make_rng(n).standard_normal(n)
+    x[n // 2 :] *= 2.0
+    return robust_css(x, ScaleEstimatorSpec.qcv())
+
+
+TRACE_KINDS = {
+    "classical": lambda n: classical_css(_two_regime_gaussian(seed=n, n=n, cp=n // 2)),
+    "robust": _robust_trace,
+    "signed_zero_head": _signed_zero_head,
+}
+
+
+class TestOlsBlockedScan:
+    """The fast scan runs over blocks of OLS_BLOCK_ROWS rows and must give
+    the bytes of one pass over the whole trace, whatever the block size."""
+
+    @pytest.mark.parametrize("kind", sorted(TRACE_KINDS))
+    @pytest.mark.parametrize("block", [1, 2, 7])
+    @pytest.mark.parametrize("n", [6, 7, 8, 9, 13, 14, 15, 16, 60])
+    def test_small_blocks_match_one_pass(self, kind, block, n):
+        trace = TRACE_KINDS[kind](n)
+        expected, sums = _one_shot_ols_statistic(trace.values)
+        assert _blocked_ols_statistic(trace, block).tobytes() == expected.tobytes()
+        # the sums themselves, down to the sign of a leading zero
+        for got, want in zip(_blocked_prefix_sums(trace, block), sums):
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize(
+        "kind,n",
+        [(kind, n) for kind in ("classical", "signed_zero_head")
+         for n in (8191, 8192, 8193, 8194, 8195, 16384, 16387)]
+        + [("robust", 8195)],
+    )
+    def test_default_block_edges_match_one_pass(self, kind, n):
+        trace = TRACE_KINDS[kind](n)
+        expected, _ = _one_shot_ols_statistic(trace.values)
+        assert _blocked_ols_statistic(trace, None).tobytes() == expected.tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        values=st.lists(
+            st.floats(allow_nan=False, allow_infinity=False), min_size=6, max_size=30
+        ),
+        block=st.sampled_from([1, 2, 7, 8192]),
+    )
+    def test_any_finite_trace_matches_one_pass_or_both_overflow(self, values, block):
+        trace = _wrap(values)
+        try:
+            expected, _ = _one_shot_ols_statistic(trace.values)
+        except FloatingPointError:
+            with pytest.raises(NonFiniteTrace):
+                _blocked_ols_statistic(trace, block)
+            return
+        assert _blocked_ols_statistic(trace, block).tobytes() == expected.tobytes()
+
+    def test_memory_is_the_statistic_plus_blocks(self):
+        n = 200_000
+        trace = classical_css(_two_regime_gaussian(seed=11, n=n, cp=n // 2))
+        tracemalloc.start()
+        try:
+            ols_detect(trace)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * n * 8
+
+    @pytest.mark.parametrize("j", [1, 2, 3, 300_000, 1_700_000, 3_000_000, 10**7])
+    def test_exact_ints_match_python_integers(self, j):
+        sj, sjj = detect_module._exact_ints(np.array([j - 1, j, j + 1]))
+        for got_j, got_jj, m in zip(sj, sjj, (j - 1, j, j + 1)):
+            assert got_j == float(m * (m + 1) // 2)
+            assert got_jj == float(m * (m + 1) * (2 * m + 1) // 6)
+
+    def test_long_series_past_the_int64_wrap(self):
+        # j(j+1)(2j+1) no longer fits in int64 from N ~ 1.66 M on; the
+        # wrapped sums of squares once put this change point at 1 167 799
+        x = np.random.default_rng(7).standard_normal(1_800_000)
+        x[900_000:] *= 1.3
+        trace = classical_css(x)
+        ols = ols_detect(trace).change_point
+        assert abs(ols - icss_detect(trace).change_point) < 1000
+        assert abs(ols - 900_000) < 1000
 
 
 class TestDetectionResult:
@@ -422,6 +559,16 @@ class TestNonFiniteTrace:
             assert np.all(np.isfinite(oriented.trace.values))
             with pytest.raises(NonFiniteTrace):
                 detect_oriented(oriented, METHOD_OLS)
+
+    @pytest.mark.parametrize("spec", SPECS)
+    def test_ols_oracle_refuses_overflow(self, spec):
+        # the refit of every candidate squares residuals of order 1e302
+        x = np.random.default_rng(5).standard_normal(50) * 1e150
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            trace = orient(x, spec).trace
+            with pytest.raises(NonFiniteTrace):
+                ols_detect(trace, exact_refit=True)
 
     @pytest.mark.parametrize("scale", [1e154, 1.7976931348623157e308])
     @pytest.mark.parametrize("spec", SPECS)
