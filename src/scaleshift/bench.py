@@ -269,12 +269,6 @@ class TimingReport:
     rows: tuple[TimingRow, ...]
     exponents: tuple[tuple[str, float], ...]
 
-    def exponent(self, method_label: str) -> float:
-        for label, beta in self.exponents:
-            if label == method_label:
-                return beta
-        raise KeyError(method_label)
-
 
 def median_ci_ranks(n: int, level: float = 0.95) -> tuple[int, int] | None:
     """1-based order-statistic ranks bracketing the median at >= ``level``
@@ -414,12 +408,15 @@ def write_mae_json(report: MaeReport, path) -> None:
 
 
 def write_detections_csv(report: MaeReport, path) -> None:
-    """Tidy per-trial detections for boxplot tooling."""
+    """Tidy per-trial detections for boxplot tooling: a trial that failed
+    has no row, and the others keep their own trial number."""
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["grid", "method", "trial", "detection"])
         for row in report.rows:
-            for t, d in enumerate(row.detections):
+            failed = {t for t, _ in row.failures}
+            trials = (t for t in range(len(row.seeds)) if t not in failed)
+            for t, d in zip(trials, row.detections):
                 w.writerow([row.grid_label, row.method, t, d])
 
 

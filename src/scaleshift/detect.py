@@ -48,26 +48,37 @@ ORIENTATIONS = ("auto", "on", "off")
 
 
 @dataclass(frozen=True, eq=False)
+class OrientedTrace:
+    """The CSS trace a detector should scan, as chosen by :func:`orient`.
+
+    ``trace`` is the trace of the reversed sample when ``reversed_applied``
+    is set, the forward trace otherwise.  ``constant_prefix_fallback``
+    records that the forward trace was convex but the reversed trace had the
+    constant-head signature, so the forward trace was kept.
+    """
+
+    trace: CssTrace
+    reversed_applied: bool = False
+    constant_prefix_fallback: bool = False
+
+
+@dataclass(frozen=True, eq=False)
 class DetectionResult:
-    """Outcome of one detection run.
+    """Outcome of one detection run on ``oriented``, the trace it scanned.
 
     ``change_point`` is the raw argmax/argmin index of the detector (1-based;
     for a series with a regime switch at n* it typically lands on n* - 1, the
     last index of the first regime).  When ``reversed_applied`` is set the
     index has already been mapped back to original-order indexing, while
-    ``statistic_trace`` and ``trace`` (the CSS trace the detector scanned)
-    remain in the order the detector actually scanned: reversed when
-    ``reversed_applied`` is set.
+    ``statistic_trace`` and ``trace`` remain in the order the detector
+    actually scanned: reversed when ``reversed_applied`` is set.
     """
 
     change_point: int
     method: str
-    estimator: ScaleEstimatorSpec
     statistic_trace: np.ndarray
-    reversed_applied: bool
-    constant_prefix_fallback: bool
     statistic_at_cp: float
-    trace: CssTrace | None = None  # None only for results built by hand
+    oriented: OrientedTrace
 
     def __post_init__(self):
         n = self.statistic_trace.shape[0]
@@ -75,6 +86,18 @@ class DetectionResult:
             raise InvalidParameter(
                 f"change point {self.change_point} outside 2..{n - 1}"
             )
+
+    @property
+    def trace(self) -> CssTrace:
+        return self.oriented.trace
+
+    @property
+    def reversed_applied(self) -> bool:
+        return self.oriented.reversed_applied
+
+    @property
+    def constant_prefix_fallback(self) -> bool:
+        return self.oriented.constant_prefix_fallback
 
 
 def _require_finite(trace: CssTrace) -> None:
@@ -107,39 +130,24 @@ def icss_detect(trace: CssTrace) -> DetectionResult:
     return DetectionResult(
         change_point=cp,
         method=METHOD_ICSS,
-        estimator=trace.estimator,
         statistic_trace=s,
-        reversed_applied=False,
-        constant_prefix_fallback=False,
         statistic_at_cp=float(s[cp - 1]),
-        trace=trace,
+        oriented=OrientedTrace(trace),
     )
 
 
-def _exact_ints(j: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Sums of i and i^2 over i = 1..j for each int64 ``j``, as float64.
-
-    Both are exact integers while they stay below 2^53 (the sum of squares
-    up to j ~ 300 000) and correctly rounded beyond, up to j ~ 1.3e8.  The
-    sum of squares is never formed as j(j+1)(2j+1) in int64, which wraps
-    from j ~ 1.66 M on: it is a = j(j+1)/2 times (2j+1)/3, with the 3 taken
-    from whichever factor it divides, and the last product in float64.
-    """
-    a = j * (j + 1) // 2
-    b = 2 * j + 1
-    a_takes_3 = a % 3 == 0
-    a3 = np.where(a_takes_3, a // 3, a).astype(float)
-    b3 = np.where(a_takes_3, b, b // 3).astype(float)
-    return a.astype(float), a3 * b3
-
-
-def _ssr_from_stats(m, sx, sy, sxx, sxy, syy):
-    """Residual sum of squares of a least-squares line through m points."""
-    dxx = sxx - sx * sx / m
-    dxy = sxy - sx * sy / m
-    dyy = syy - sy * sy / m
-    ssr = dyy - dxy * dxy / dxx
+def _ssr_from_stats(m, sy, sxy, syy):
+    """Residual sum of squares of a least-squares line through the points
+    (j, y_j) at m consecutive j, from the sums of y and y^2 and the centred
+    cross sum sxy = sum((j - mean j) * y)."""
+    ssr = syy - sy * sy / m - sxy * sxy / _centred_sxx(m)
     return np.maximum(ssr, 0.0)
+
+
+def _centred_sxx(m):
+    """Sum of (j - mean j)^2 over m consecutive j, m(m^2 - 1)/12: in
+    float64 it stays within an ulp of the exact value up to m ~ 1e8."""
+    return m * (m * m - 1.0) / 12.0
 
 
 # Rows of the trace per block of the OLS fast scan; its temporaries are
@@ -182,21 +190,20 @@ def _fast_scan(c: np.ndarray, s: np.ndarray) -> None:
     for *_, p1, pj, p2 in _prefix_blocks(c):
         pass
     t1, tj, t2 = p1[-1], pj[-1], p2[-1]
-    sj_n, sjj_n = (v[0] for v in _exact_ints(np.array([n_total])))
     for lo, j, p1, pj, p2 in _prefix_blocks(c):
-        # candidates n = 2..N-2 sit at rows 1..N-3
+        # candidates n = 2..N-2 sit at rows 1..N-3; the left line fits
+        # j = 1..n about its mean (n + 1)/2, the right one j = n+1..N about
+        # (n + 1 + N)/2
         k = slice(max(lo, 1) - lo, min(lo + j.size, n_total - 2) - lo)
         if k.start >= k.stop:
             continue
-        jk = j[k]
-        sj, sjj = _exact_ints(jk.astype(np.int64))
-        left = _ssr_from_stats(jk, sj, p1[k], sjj, pj[k], p2[k])
+        n, p1k = j[k], p1[k]
+        left = _ssr_from_stats(n, p1k, pj[k] - (n + 1) / 2 * p1k, p2[k])
+        r1 = t1 - p1k
         right = _ssr_from_stats(
-            n_total - jk,
-            sj_n - sj,
-            t1 - p1[k],
-            sjj_n - sjj,
-            tj - pj[k],
+            n_total - n,
+            r1,
+            tj - pj[k] - (n + 1 + n_total) / 2 * r1,
             t2 - p2[k],
         )
         s[lo + k.start : lo + k.stop] = left + right
@@ -245,12 +252,9 @@ def ols_detect(trace: CssTrace, *, exact_refit: bool = False) -> DetectionResult
     return DetectionResult(
         change_point=cp,
         method=METHOD_OLS,
-        estimator=trace.estimator,
         statistic_trace=s,
-        reversed_applied=False,
-        constant_prefix_fallback=False,
         statistic_at_cp=float(s[cp - 1]),
-        trace=trace,
+        oriented=OrientedTrace(trace),
     )
 
 
@@ -259,21 +263,6 @@ def _refit_ssr(x: np.ndarray, y: np.ndarray) -> float:
     coeffs = np.polyfit(x, y, 1)
     resid = y - np.polyval(coeffs, x)
     return float(np.sum(resid * resid))
-
-
-@dataclass(frozen=True, eq=False)
-class OrientedTrace:
-    """The CSS trace a detector should scan, as chosen by :func:`orient`.
-
-    ``trace`` is the trace of the reversed sample when ``reversed_applied``
-    is set, the forward trace otherwise.  ``constant_prefix_fallback``
-    records that the forward trace was convex but the reversed trace had the
-    constant-head signature, so the forward trace was kept.
-    """
-
-    trace: CssTrace
-    reversed_applied: bool = False
-    constant_prefix_fallback: bool = False
 
 
 def orient(
@@ -338,9 +327,4 @@ def detect_oriented(oriented: OrientedTrace, method: str) -> DetectionResult:
     cp = raw.change_point
     if oriented.reversed_applied:
         cp = oriented.trace.source_length - cp + 1
-    return dataclasses.replace(
-        raw,
-        change_point=cp,
-        reversed_applied=oriented.reversed_applied,
-        constant_prefix_fallback=oriented.constant_prefix_fallback,
-    )
+    return dataclasses.replace(raw, change_point=cp, oriented=oriented)

@@ -380,6 +380,31 @@ class TestWriters:
         assert rows[0] == ["grid", "method", "trial", "detection"]
         assert len(rows) == 1 + 2 * 2  # two grid points x two trials
 
+    def test_detections_csv_numbers_trials_past_a_failure(self, tmp_path, monkeypatch):
+        # trial 2 of 5 fails at both grid points; the detections of trials
+        # 3 and 4 keep their own numbers instead of moving up to 2 and 3
+        calls = iter(range(10))
+
+        def fail_trial_2(values):
+            call = next(calls)
+            if call % 5 == 2:
+                raise DegenerateScale("trial 2")
+            return 20 + call
+
+        _fake_pipeline(monkeypatch, fail_trial_2)
+        report = run_mae_study(_small_cfg(trials=5))
+        path = tmp_path / "det.csv"
+        write_detections_csv(report, path)
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(fh))
+        low, high = (r.grid_label for r in report.rows)
+        assert rows[1:] == [
+            [low, "ICSS", "0", "20"], [low, "ICSS", "1", "21"],
+            [low, "ICSS", "3", "23"], [low, "ICSS", "4", "24"],
+            [high, "ICSS", "0", "25"], [high, "ICSS", "1", "26"],
+            [high, "ICSS", "3", "28"], [high, "ICSS", "4", "29"],
+        ]
+
     def test_timing_writers(self, tmp_path):
         cfg = BenchConfig(
             grid=(MixtureSpec(omega2=5.0, nu=15.0, p=0.05, N=100),),

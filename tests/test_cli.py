@@ -18,6 +18,7 @@ from scaleshift import (
     EmptyColumn,
     MixtureSpec,
     NonPositiveForLog,
+    OrientedTrace,
     ParseError,
     ScaleEstimatorSpec,
     TooShortAfterPreprocess,
@@ -532,12 +533,9 @@ class TestTraceCsvBytes:
         result = DetectionResult(
             change_point=2,
             method="ols",
-            estimator=ScaleEstimatorSpec.classical(),
             statistic_trace=stat,
-            reversed_applied=False,
-            constant_prefix_fallback=False,
             statistic_at_cp=float(stat[1]),
-            trace=CssTrace(css, ScaleEstimatorSpec.classical(), n),
+            oriented=OrientedTrace(CssTrace(css, ScaleEstimatorSpec.classical(), n)),
         )
         path = tmp_path / "trace.csv"
         cli._write_trace_csv(str(path), result)

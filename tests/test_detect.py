@@ -1,6 +1,8 @@
 """Unit tests for the ICSS and OLS detectors and the orientation pipeline."""
+import math
 import tracemalloc
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -17,6 +19,7 @@ from scaleshift import (
     InvalidParameter,
     NonFiniteTrace,
     Orientation,
+    OrientedTrace,
     ScaleEstimatorSpec,
     ZeroTotalSumOfSquares,
     classical_css,
@@ -118,10 +121,15 @@ class TestOlsDetect:
         assert res.change_point == k - 1
         assert res.statistic_at_cp <= 1e-9
 
-    def test_exact_refit_oracle_agrees(self):
-        x = make_rng(8).standard_normal(120)
-        x[60:] *= 3.0
-        tr = classical_css(x)
+    @pytest.mark.parametrize("scale", [2.0**-40, 1.0, 2.0**40],
+                             ids=["2^-40", "1", "2^40"])
+    @pytest.mark.parametrize("n", [6, 7, 50, 400])
+    @pytest.mark.parametrize("spec", ["classical", "bmid", "qcv"])
+    def test_exact_refit_oracle_agrees(self, spec, n, scale):
+        x = make_rng(8).standard_normal(n) * scale
+        x[n // 2 :] *= 3.0
+        spec = getattr(ScaleEstimatorSpec, spec)()
+        tr = orient(x, spec, orientation="off" if n < 8 else "auto").trace
         fast = ols_detect(tr)
         slow = ols_detect(tr, exact_refit=True)
         assert fast.change_point == slow.change_point
@@ -160,9 +168,6 @@ def _one_shot_ols_statistic(c):
     Returns the statistic and the prefix sums of d, j*d and d*d."""
     n_total = c.size
     j = np.arange(1, n_total + 1, dtype=float)
-    ji = np.arange(1, n_total + 1, dtype=np.int64)
-    sj = (ji * (ji + 1) // 2).astype(float)
-    sjj = (ji * (ji + 1) * (2 * ji + 1) // 6).astype(float)
     k = slice(1, n_total - 2)
     s = np.full(n_total, np.nan)
     with np.errstate(over="raise", invalid="raise"):
@@ -172,9 +177,10 @@ def _one_shot_ols_statistic(c):
         pj = np.cumsum(j * d)
         p2 = np.cumsum(d * d)
         ssr = detect_module._ssr_from_stats
-        left = ssr(j[k], sj[k], p1[k], sjj[k], pj[k], p2[k])
-        right = ssr(n_total - j[k], sj[-1] - sj[k], p1[-1] - p1[k],
-                    sjj[-1] - sjj[k], pj[-1] - pj[k], p2[-1] - p2[k])
+        n, r1 = j[k], p1[-1] - p1[k]
+        left = ssr(n, p1[k], pj[k] - (n + 1) / 2 * p1[k], p2[k])
+        right = ssr(n_total - n, r1,
+                    pj[-1] - pj[k] - (n + 1 + n_total) / 2 * r1, p2[-1] - p2[k])
     s[k] = left + right
     return s, (p1, pj, p2)
 
@@ -269,11 +275,12 @@ class TestOlsBlockedScan:
         assert peak < 3 * n * 8
 
     @pytest.mark.parametrize("j", [1, 2, 3, 300_000, 1_700_000, 3_000_000, 10**7])
-    def test_exact_ints_match_python_integers(self, j):
-        sj, sjj = detect_module._exact_ints(np.array([j - 1, j, j + 1]))
-        for got_j, got_jj, m in zip(sj, sjj, (j - 1, j, j + 1)):
-            assert got_j == float(m * (m + 1) // 2)
-            assert got_jj == float(m * (m + 1) * (2 * m + 1) // 6)
+    def test_centred_sxx_within_an_ulp_of_python_integers(self, j):
+        # sum of (i - mean)^2 over m consecutive i is m(m^2 - 1)/12 exactly
+        got = detect_module._centred_sxx(np.array([j - 1, j, j + 1], dtype=float))
+        for value, m in zip(got, (j - 1, j, j + 1)):
+            exact = Fraction(m * (m * m - 1), 12)
+            assert abs(Fraction(float(value)) - exact) <= Fraction(math.ulp(value))
 
     def test_long_series_past_the_int64_wrap(self):
         # j(j+1)(2j+1) no longer fits in int64 from N ~ 1.66 M on; the
@@ -292,11 +299,9 @@ class TestDetectionResult:
             DetectionResult(
                 change_point=1,
                 method=METHOD_ICSS,
-                estimator=ScaleEstimatorSpec.classical(),
                 statistic_trace=np.zeros(10),
-                reversed_applied=False,
-                constant_prefix_fallback=False,
                 statistic_at_cp=0.0,
+                oriented=OrientedTrace(_wrap(np.arange(1.0, 11.0))),
             )
 
 
@@ -418,6 +423,23 @@ class TestOrient:
             )
             assert shared.trace is o.trace
             assert np.array_equal(alone.trace.values, o.trace.values)
+
+    @pytest.mark.parametrize("case", ["forward", "reversed", "fallback"])
+    @pytest.mark.parametrize("method", [METHOD_ICSS, METHOD_OLS])
+    def test_result_keeps_the_oriented_trace(self, case, method):
+        series = {
+            "forward": lambda: _two_regime_gaussian(n=300, cp=150, sigma2=1 / 3),
+            "reversed": lambda: _two_regime_gaussian(n=300, cp=150),
+            "fallback": _spiky_tail,
+        }[case]()
+        o = orient(series)
+        assert (o.reversed_applied, o.constant_prefix_fallback) == (
+            case == "reversed", case == "fallback")
+        res = detect_oriented(o, method)
+        assert res.oriented is o
+        assert res.trace is o.trace
+        assert res.reversed_applied == o.reversed_applied
+        assert res.constant_prefix_fallback == o.constant_prefix_fallback
 
     def test_fallback_result_flags(self):
         res = detect_oriented(orient(_spiky_tail()), METHOD_OLS)
