@@ -60,6 +60,9 @@ __all__ = [
 SEED_ENV_VAR = "SCALESHIFT_SEED"
 MIN_SERIES_LEN = 8
 TRACE_BLOCK_ROWS = 8192
+CSV_BLOCK_CHARS = 1 << 20
+# the only characters of a block that ``_read_plain_block`` reads
+_PLAIN_CHARS = b"0123456789eE+-., \t\r\n"
 
 
 @dataclass(frozen=True)
@@ -142,10 +145,29 @@ def ingest_csv(path, column=1) -> TimeSeries:
     column is not a number or, for a row too narrow to have that cell,
     when one of its cells is neither blank nor a number.  Any other
     unparseable, non-finite or missing cell is a hard :class:`ParseError`
-    carrying its line number, and so is a row the CSV reader rejects (e.g.
-    a cell over the field size limit); bytes that do not decode give a
-    :class:`ParseError` without one.
+    carrying its physical line number, and so is a row the CSV reader
+    rejects (e.g. a cell over the field size limit); bytes that do not
+    decode give a :class:`ParseError` without one.
+
+    The row loop in :func:`_read_column` defines what a file means.  Past
+    the first value, plain numeric text is read in bulk by
+    :func:`_read_plain_rest`; a file it refuses is read again by the row
+    loop alone, so the values and errors are the same either way.
     """
+    values = _read_column(path, column, bulk=True)
+    if values is None:
+        values = _read_column(path, column, bulk=False)
+    if not values.size:
+        raise EmptyColumn(f"no data rows found in {path!r} (column {column!r})")
+    return TimeSeries(values=values, source=str(path))
+
+
+def _read_column(path, column, *, bulk: bool) -> np.ndarray | None:
+    """The row loop of :func:`ingest_csv`: ``column``'s values as an array.
+
+    With ``bulk``, the loop stops at the first value, once blank rows and
+    the header are settled, and hands the rest of the file to
+    :func:`_read_plain_rest`; None means that it refused the rest."""
     values = []
     with open(path, newline="") as fh:
         reader = csv_mod.reader(fh)
@@ -154,7 +176,7 @@ def ingest_csv(path, column=1) -> TimeSeries:
             raise ConfigError(f"column index must be >= 1, got {column}")
         first = True  # no non-blank row seen yet
         try:
-            for lineno, row in enumerate(reader, start=1):
+            for row in reader:
                 # Fast path for the common row: a finite number in the
                 # column.  IndexError is a short row, TypeError a header
                 # name not yet found; these, and every cell float() rejects
@@ -162,90 +184,159 @@ def ingest_csv(path, column=1) -> TimeSeries:
                 try:
                     v = float(row[col_idx])
                 except (IndexError, TypeError, ValueError):
-                    pass
-                else:
-                    if v - v == 0.0:  # false for inf and NaN
-                        values.append(v)
+                    v = math.nan
+                if v - v != 0.0:  # true for inf and NaN
+                    if not row or all(not cell.strip() for cell in row):
                         continue
-                if not row or all(not cell.strip() for cell in row):
-                    continue
-                may_be_header = first and not values
-                first = False
-                if isinstance(column, str) and col_idx is None:
-                    try:
-                        col_idx = [c.strip() for c in row].index(column)
-                    except ValueError:
+                    may_be_header = first and not values
+                    first = False
+                    if isinstance(column, str) and col_idx is None:
+                        try:
+                            col_idx = [c.strip() for c in row].index(column)
+                        except ValueError:
+                            raise ParseError(
+                                f"no column named {column!r} in header",
+                                line=reader.line_num,
+                            ) from None
+                        continue
+                    if col_idx >= len(row):
+                        if may_be_header and not all(
+                            _is_number(cell) for cell in row if cell.strip()
+                        ):
+                            continue  # header narrower than the requested column
                         raise ParseError(
-                            f"no column named {column!r} in header", line=lineno
+                            f"row has {len(row)} columns, need column {col_idx + 1}",
+                            line=reader.line_num,
+                        )
+                    cell = row[col_idx].strip()
+                    try:
+                        v = float(cell)
+                    except ValueError:
+                        if may_be_header:
+                            continue  # header row
+                        raise ParseError(
+                            f"cannot parse {cell!r} as a real", line=reader.line_num
                         ) from None
-                    continue
-                if col_idx >= len(row):
-                    if may_be_header and not all(
-                        _is_number(cell) for cell in row if cell.strip()
-                    ):
-                        continue  # header narrower than the requested column
-                    raise ParseError(
-                        f"row has {len(row)} columns, need column {col_idx + 1}",
-                        line=lineno,
-                    )
-                cell = row[col_idx].strip()
-                try:
-                    v = float(cell)
-                except ValueError:
-                    if may_be_header:
-                        continue  # header row
-                    raise ParseError(
-                        f"cannot parse {cell!r} as a real", line=lineno
-                    ) from None
-                if not math.isfinite(v):
-                    raise ParseError(f"non-finite value {cell!r}", line=lineno)
+                    if not math.isfinite(v):
+                        raise ParseError(
+                            f"non-finite value {cell!r}", line=reader.line_num
+                        )
                 values.append(v)
+                if bulk:
+                    rest = _read_plain_rest(fh, col_idx)
+                    return None if rest is None else np.concatenate([values, *rest])
         except UnicodeDecodeError as exc:
             raise ParseError(f"file is not valid text: {exc}") from None
         except csv_mod.Error as exc:
             raise ParseError(
                 f"unreadable CSV row: {exc}", line=reader.line_num
             ) from None
-    if not values:
-        raise EmptyColumn(f"no data rows found in {path!r} (column {column!r})")
-    return TimeSeries(values=np.asarray(values), source=str(path))
+    return np.asarray(values)
+
+
+def _read_plain_rest(fh, col_idx: int) -> list[np.ndarray] | None:
+    """Column ``col_idx`` of the rest of the open CSV file ``fh`` as one
+    array per block of about ``CSV_BLOCK_CHARS`` characters cut at a
+    newline, or None as soon as :func:`_read_plain_block` refuses a block."""
+    limit = csv_mod.field_size_limit()
+    parts = []
+    carry = ""  # the unfinished last line of what was read
+    while True:
+        try:
+            chunk = fh.read(CSV_BLOCK_CHARS)
+        except UnicodeDecodeError:
+            return None
+        text = carry + chunk
+        cut = text.rfind("\n") + 1 if chunk else len(text)
+        block, carry = text[:cut], text[cut:]
+        if len(carry) > limit:  # a line longer than any cell may be
+            return None
+        if block:
+            values = _read_plain_block(block, col_idx, limit)
+            if values is None:
+                return None
+            parts.append(values)
+        if not chunk:
+            return parts
+
+
+def _read_plain_block(block: str, col_idx: int, limit: int) -> np.ndarray | None:
+    """Column ``col_idx`` of the CSV lines ``block`` by ``np.loadtxt``, or
+    None if the row loop might read the block differently.
+
+    The row loop reads a cell with csv and ``float()``.  On a block of
+    ``_PLAIN_CHARS`` alone, in which every CR ends a CRLF, csv's records
+    are the lines and its cells the text between commas: a quote would
+    shift the cells, a lone CR would end a record, NUL is csv's to judge,
+    and ``float()`` alone accepts underscores and non-ASCII digits.  A line
+    no longer than the field size limit holds no cell that csv rejects.
+    ``np.loadtxt`` then skips the empty lines the row loop skips, raises on
+    a whitespace-only line, a short row or a bad cell, and parses a cell
+    with the parser ``float()`` uses, so it returns the same doubles; a
+    non-finite one is the row loop's error to report.
+    """
+    if not block.isascii() or block.encode("ascii").translate(None, _PLAIN_CHARS):
+        return None
+    if block.count("\r") != block.count("\r\n"):
+        return None
+    lines = block.splitlines()
+    if max(map(len, lines)) > limit:
+        return None
+    if not block.strip():
+        return np.empty(0)  # blank lines only: np.loadtxt would warn
+    try:
+        values = np.loadtxt(
+            lines, delimiter=",", usecols=col_idx, comments=None, dtype=float,
+            ndmin=1,
+        )
+    except ValueError:
+        return None
+    return values if np.isfinite(values).all() else None
 
 
 def preprocess(ts: TimeSeries, spec: PreprocessSpec) -> TimeSeries:
     """Apply the steps in order: log-returns (requires positive input),
     k-fold differencing, or non-overlapping block aggregation with the tail
-    remainder dropped.  The result must keep at least 8 points."""
+    remainder dropped.  The result must keep at least 8 points.  A step
+    that overflows gives inf or NaN without a numpy warning."""
     x = ts.values
     applied = list(ts.preprocessing)
-    for step in spec.steps:
-        name = step[0]
-        if name == "log-returns":
-            if x.size < 2:
-                raise TooShortAfterPreprocess("log-returns needs >= 2 points")
-            if np.any(x <= 0.0):
-                raise NonPositiveForLog(
-                    "log-returns require strictly positive values"
+    # A step may overflow to inf or NaN; orient() refuses such a series
+    # with NonFiniteSample, so numpy's warnings would only repeat that.
+    with np.errstate(all="ignore"):
+        for step in spec.steps:
+            name = step[0]
+            if name == "log-returns":
+                if x.size < 2:
+                    raise TooShortAfterPreprocess("log-returns needs >= 2 points")
+                if np.any(x <= 0.0):
+                    raise NonPositiveForLog(
+                        "log-returns require strictly positive values"
+                    )
+                x = np.log(x[1:] / x[:-1])
+                applied.append("log-returns")
+            elif name == "difference":
+                k = step[1]
+                if x.size <= k:
+                    raise TooShortAfterPreprocess(
+                        f"difference order {k} leaves no data from {x.size} points"
+                    )
+                x = np.diff(x, n=k)
+                applied.append(f"difference:{k}")
+            else:
+                b, reducer = step[1], step[2]
+                nblocks = x.size // b
+                if nblocks == 0:
+                    raise TooShortAfterPreprocess(
+                        f"aggregate block {b} leaves no data from {x.size} points"
+                    )
+                blocks = x[: nblocks * b].reshape(nblocks, b)
+                x = (
+                    np.mean(blocks, axis=1)
+                    if reducer == "mean"
+                    else np.median(blocks, axis=1)
                 )
-            x = np.log(x[1:] / x[:-1])
-            applied.append("log-returns")
-        elif name == "difference":
-            k = step[1]
-            if x.size <= k:
-                raise TooShortAfterPreprocess(
-                    f"difference order {k} leaves no data from {x.size} points"
-                )
-            x = np.diff(x, n=k)
-            applied.append(f"difference:{k}")
-        else:
-            b, reducer = step[1], step[2]
-            nblocks = x.size // b
-            if nblocks == 0:
-                raise TooShortAfterPreprocess(
-                    f"aggregate block {b} leaves no data from {x.size} points"
-                )
-            blocks = x[: nblocks * b].reshape(nblocks, b)
-            x = np.mean(blocks, axis=1) if reducer == "mean" else np.median(blocks, axis=1)
-            applied.append(f"aggregate:{b}:{reducer}")
+                applied.append(f"aggregate:{b}:{reducer}")
     if x.size < MIN_SERIES_LEN:
         raise TooShortAfterPreprocess(
             f"{x.size} points remain after preprocessing; need >= {MIN_SERIES_LEN}"

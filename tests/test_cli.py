@@ -5,6 +5,7 @@ import json
 import math
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -196,6 +197,11 @@ class TestIngestCsv:
         late = _write(tmp_path, "q4.csv", "1.0\n\nv\n2.0\n")
         assert self._error(late) == ("cannot parse 'v' as a real", 3)
 
+    def test_error_line_is_the_physical_line(self, tmp_path):
+        # the quoted cell "2\n" spans lines 3-4; bogus is on line 5
+        path = _write(tmp_path, "s.csv", 'v\n1.0\n"2\n"\nbogus\n')
+        assert self._error(path) == ("cannot parse 'bogus' as a real", 5)
+
     @settings(
         max_examples=60,
         deadline=None,
@@ -224,6 +230,173 @@ class TestIngestCsv:
         got = ingest_csv(path).values
         want = np.array([float(s) for s in cells])
         assert got.tobytes() == want.tobytes()
+
+
+def _row_loop_only():
+    """Make the bulk reader refuse, so ``ingest_csv`` is the row loop alone."""
+    return mock.patch.object(cli, "_read_plain_rest", lambda fh, col_idx: None)
+
+
+def _ingest_outcome(path, column):
+    """The value bytes ``ingest_csv`` returns, or its error's
+    (type, message, line)."""
+    try:
+        return ingest_csv(path, column).values.tobytes()
+    except (ParseError, EmptyColumn) as exc:
+        return type(exc).__name__, str(exc), getattr(exc, "line", None)
+
+
+_PLAIN_CELLS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.floats(allow_nan=False, allow_infinity=False).map(lambda v: format(v, ".17g")),
+    st.integers(-(10**20), 10**20).map(str),
+    st.sampled_from(["+1", ".5", "5.", "-0", "1E+5", "0001.5e-3", "1e-320"]),
+)
+_PAD = st.sampled_from(["", " ", "\t", " \t "])
+_BLANK_ROWS = st.sampled_from(["", " ", "\t ", ",", " , ,\t"])
+# one each of the inputs the bulk reader must leave to the row loop
+_HAZARDS = {
+    "quote": '"1,2",5,7',
+    "lone-cr": "1,2,3\r4,5,6",
+    "nul": "1,2\x00,3",
+    "underscore": "1_0,2_0,3_0",
+    "arabic-digit": "٣,٣,٣",
+    "oversized": "0" * 131072 + "1," + "0" * 131072 + "2,3",
+    "oversized-blank": " " * 131073,
+    "inf": "inf,inf,inf",
+    "nan": "nan,nan,nan",
+    "overflow": "1e999,1e999,1e999",
+    "short-row": "1",
+    "bad-cell": "1.2.3,1e,--1",
+}
+
+
+class TestBulkIngest:
+    """Plain numeric text past the first value is read by ``np.loadtxt``;
+    whatever it reads must equal the row loop alone, value bytes or error
+    (type, message, line)."""
+
+    @settings(
+        max_examples=250,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(
+        rows=st.lists(
+            st.one_of(
+                st.tuples(_PLAIN_CELLS, _PLAIN_CELLS, _PLAIN_CELLS, _PAD).map(
+                    lambda r: ",".join(r[3] + c + r[3] for c in r[:3])
+                ),
+                st.tuples(_PLAIN_CELLS, _PLAIN_CELLS, _PLAIN_CELLS, _PLAIN_CELLS).map(
+                    ",".join
+                ),
+                _BLANK_ROWS,
+            ),
+            min_size=1,
+            max_size=30,
+        ),
+        header=st.sampled_from([None, "a,b,c", " a , b ,c"]),
+        column=st.sampled_from([1, 2, 3, "b"]),
+        newline=st.sampled_from(["\n", "\r\n"]),
+        hazard=st.sampled_from([None, *_HAZARDS]),
+        where=st.floats(0.0, 1.0),
+        block_chars=st.sampled_from([cli.CSV_BLOCK_CHARS, 1, 7, 64]),
+        trailing_newline=st.booleans(),
+    )
+    def test_same_as_row_loop(self, tmp_path, rows, header, column, newline,
+                              hazard, where, block_chars, trailing_newline):
+        if hazard is not None:
+            rows.insert(int(where * len(rows)), _HAZARDS[hazard])
+        lines = ([header] if header else []) + rows
+        text = newline.join(lines) + (newline if trailing_newline else "")
+        path = _write(tmp_path, "h.csv", text)
+        with _row_loop_only():
+            want = _ingest_outcome(path, column)
+        with mock.patch.object(cli, "CSV_BLOCK_CHARS", block_chars):
+            assert _ingest_outcome(path, column) == want
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"])
+    @pytest.mark.parametrize("column", [1, 2, 3])
+    @pytest.mark.parametrize("hazard", sorted(_HAZARDS))
+    def test_hazard_after_the_first_value(self, tmp_path, hazard, column,
+                                          newline):
+        rows = ["a,b,c", "1,2,3", "4,5,6", _HAZARDS[hazard], "7,8,9"]
+        path = _write(tmp_path, "z.csv", newline.join(rows) + newline)
+        with _row_loop_only():
+            want = _ingest_outcome(path, column)
+        assert _ingest_outcome(path, column) == want
+
+    @staticmethod
+    def _spy(monkeypatch, name):
+        """Record every return value of ``cli.<name>``."""
+        real, returned = getattr(cli, name), []
+
+        def spy(*args):
+            returned.append(real(*args))
+            return returned[-1]
+
+        monkeypatch.setattr(cli, name, spy)
+        return returned
+
+    def test_plain_file_takes_the_bulk_path(self, tmp_path, monkeypatch):
+        rest = self._spy(monkeypatch, "_read_plain_rest")
+        path = _write(
+            tmp_path, "p.csv", "index,price\r\n1,100.5\r\n\r\n2,-1e-3\r\n3,7\r\n"
+        )
+        assert ingest_csv(path, "price").values.tolist() == [100.5, -1e-3, 7.0]
+        assert len(rest) == 1
+        assert np.concatenate(rest[0]).tolist() == [-1e-3, 7.0]
+
+    def test_file_larger_than_one_block(self, tmp_path, monkeypatch):
+        x = np.random.default_rng(3).standard_normal(60_000) * 1e3
+        head = "index,value\r\n1,%r\r\n" % x[0].item()
+        body = "".join("%d,%r\r\n" % (i, v) for i, v in enumerate(x[1:].tolist(), 2))
+        assert len(body) > cli.CSV_BLOCK_CHARS
+        # the first block's cut falls inside a line
+        assert body[cli.CSV_BLOCK_CHARS - 1] != "\n"
+        path = _write(tmp_path, "big.csv", head + body)
+        blocks = self._spy(monkeypatch, "_read_plain_block")
+        got = ingest_csv(path, 2).values
+        assert len(blocks) == 2 and blocks[1] is not None
+        assert got.tobytes() == x.tobytes()
+        with _row_loop_only():
+            assert ingest_csv(path, 2).values.tobytes() == x.tobytes()
+
+    @pytest.mark.parametrize("hazard", ["1_0", "inf", "1e999", "1,2,3\r4,5"])
+    def test_hazard_only_in_a_later_block(self, tmp_path, monkeypatch, hazard):
+        x = np.random.default_rng(4).standard_normal(60_000)
+        lines = ["v"] + [repr(v) for v in x.tolist()]
+        lines.insert(len(lines) - 5, hazard)
+        path = _write(tmp_path, "late.csv", "\n".join(lines) + "\n")
+        blocks = self._spy(monkeypatch, "_read_plain_block")
+        got = _ingest_outcome(path, 1)
+        assert blocks[0] is not None and blocks[-1] is None
+        with _row_loop_only():
+            assert got == _ingest_outcome(path, 1)
+
+    def test_oversized_blank_line_in_its_own_block(self, tmp_path, monkeypatch):
+        # the row loop's csv reader rejects a blank line over the field
+        # limit, so a block holding only that line must be refused too
+        monkeypatch.setattr(cli, "CSV_BLOCK_CHARS", 200_000)
+        text = "v\n" + "1.25\n" * 20_000 + " " * 131_073 + "\n"
+        path = _write(tmp_path, "w.csv", text)
+        blocks = self._spy(monkeypatch, "_read_plain_block")
+        got = _ingest_outcome(path, 1)
+        assert len(blocks) == 2 and blocks[0] is not None and blocks[1] is None
+        assert got == (
+            "ParseError",
+            "unreadable CSV row: field larger than field limit (131072)",
+            20_002,
+        )
+        with _row_loop_only():
+            assert _ingest_outcome(path, 1) == got
+
+    def test_blank_block_is_skipped_without_warning(self, tmp_path, monkeypatch):
+        path = _write(tmp_path, "b.csv", "v\r\n1\r\n\r\n\r\n2\r\n\r\n")
+        monkeypatch.setattr(cli, "CSV_BLOCK_CHARS", 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert ingest_csv(path).values.tolist() == [1.0, 2.0]
 
 
 class TestParsePreprocessSpec:
@@ -437,6 +610,22 @@ class TestDetectCommand:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1
         assert json.loads(err[0])["error"] == "NonFiniteTrace"
+
+    @pytest.mark.parametrize("values, step", [
+        ([1.7e308, -1.7e308] * 6, "difference:1"),
+        ([1e300, 1e-300] * 6, "log-returns"),
+    ])
+    def test_overflowing_preprocess_contract(self, values, step, tmp_path,
+                                             capsys):
+        path = _write(tmp_path, "ovf.csv", "\n".join(map(repr, values)) + "\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["detect", "--input", path, "--preprocess", step])
+        assert rc == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert json.loads(err[0])["error"] == "NonFiniteSample"
+
 
 class TestDetectScanCount:
     """``--trace-csv`` writes the trace the detector scanned; it costs no
