@@ -271,16 +271,17 @@ def _read_plain_block(block: str, col_idx: int, limit: int) -> np.ndarray | None
     and ``float()`` alone accepts underscores and non-ASCII digits.  A line
     no longer than the field size limit holds no cell that csv rejects.
     ``np.loadtxt`` then skips the empty lines the row loop skips, raises on
-    a whitespace-only line, a short row or a bad cell, and parses a cell
-    with the parser ``float()`` uses, so it returns the same doubles; a
-    non-finite one is the row loop's error to report.
+    a short row or a bad cell, and parses a cell with the parser ``float()``
+    uses, so it returns the same doubles; a non-finite one is the row loop's
+    error to report.  It raises on the row loop's other blank rows too, so
+    a refused block that holds one is read once more without them.
     """
     if not block.isascii() or block.encode("ascii").translate(None, _PLAIN_CHARS):
         return None
     if block.count("\r") != block.count("\r\n"):
         return None
     lines = block.splitlines()
-    if max(map(len, lines)) > limit:
+    if max(map(len, lines), default=0) > limit:
         return None
     if not block.strip():
         return np.empty(0)  # blank lines only: np.loadtxt would warn
@@ -290,7 +291,11 @@ def _read_plain_block(block: str, col_idx: int, limit: int) -> np.ndarray | None
             ndmin=1,
         )
     except ValueError:
-        return None
+        # drop the blank rows: nothing but spaces, tabs and commas
+        kept = [line for line in lines if line.strip(" \t,")]
+        if len(kept) == len(lines):
+            return None
+        return _read_plain_block("\n".join(kept), col_idx, limit)
     return values if np.isfinite(values).all() else None
 
 

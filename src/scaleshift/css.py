@@ -24,6 +24,9 @@ from .estimators import (
     BmidConfig,
     QcvBounds,
     _as_sample,
+    _bmid_core,
+    _median_sorted,
+    _window_variance,
     bmid_variance,
     qcv_variance,
     sample_median,
@@ -186,26 +189,15 @@ def _bmid_prefixes(arr: np.ndarray, c: float, out: np.ndarray) -> list[int]:
     degenerate = []
     values = arr.tolist()
     keys = values[:1]
-    add = np.add.reduce  # np.sum's pairwise sum, less its call overhead
     for n in range(2, arr.size + 1):
         insort_left(keys, values[n - 1])
-        h = n >> 1
-        med = keys[h] if n & 1 else (keys[h - 1] + keys[h]) / 2.0
+        med = _median_sorted(keys)
         mad_val = _mad_sorted(keys, med)
         if mad_val == 0.0:
             var = 0.0
             degenerate.append(n)
         else:
-            dev = arr[:n] - med
-            u2 = dev / (c * mad_val)
-            u2 *= u2  # fl(u * u) < 1 exactly when |u| < 1
-            inside = u2 < 1.0
-            d = dev[inside]
-            u2 = u2[inside]
-            w = 1.0 - u2
-            num = n * add(d * d * w ** 4)
-            den = add(w * (1.0 - 5.0 * u2)) ** 2
-            var = float(num / den)
+            var = _bmid_core(arr[:n], med, mad_val, c)
         out[n - 1] = n * (var + med * med) - var
     return degenerate
 
@@ -221,24 +213,19 @@ def _qcv_prefixes(arr: np.ndarray, bounds: QcvBounds, out: np.ndarray) -> list[i
     keys = values[:1]
     buf = np.empty(arr.size)  # the sorted prefix, for contiguous windows
     buf[0] = values[0]
-    add = np.add.reduce  # np.sum's pairwise sum, less its call overhead
     for n in range(2, arr.size + 1):
         x = values[n - 1]
         pos = bisect_left(keys, x)
         keys.insert(pos, x)
         buf[pos + 1 : n] = buf[pos : n - 1]
         buf[pos] = x
-        h = n >> 1
-        med = keys[h] if n & 1 else (keys[h - 1] + keys[h]) / 2.0
+        med = _median_sorted(keys)
         lo, hi = los[n], his[n]
-        m = hi - lo
-        if m < 2:
+        if hi - lo < 2:
             var = 0.0
             degenerate.append(n)
         else:
-            w = buf[lo:hi]
-            d = w - add(w) / m
-            var = float(add(d * d) / m)
+            var = _window_variance(buf, lo, hi)
         out[n - 1] = n * (var + med * med) - var
     return degenerate
 
@@ -283,14 +270,13 @@ def robust_css(
     variance, whatever ``exact_naive`` says.
 
     For a robust spec the default scan keeps the prefix in a sorted list
-    (binary-search insert), so the median is one or two list reads and the
-    MAD a selection from the V-shaped |x - med| (:func:`_mad_sorted`).
-    BMID weight sums run over the prefix in original sample order; QCV
+    (binary-search insert) and calls the estimators' own median, BMID and
+    QCV kernels on it; only the selections are incremental.  The MAD is
+    picked from the V-shaped |x - med| (:func:`_mad_sorted`), and QCV
     windows are contiguous slices of a numpy copy of the sorted prefix.
     ``exact_naive=True`` recomputes every prefix from scratch through the
     public estimators; it is the equivalence oracle for the default scan,
-    which performs the same floating-point operations and so matches it bit
-    for bit.
+    which matches it bit for bit.
     """
     arr = _as_sample(values, min_len=3, what="series")
     if spec.kind == KIND_CLASSICAL:

@@ -115,7 +115,8 @@ def icss_detect(trace: CssTrace) -> DetectionResult:
 
     Ties break to the smallest index.  A constant nonzero series yields an
     exactly linear trace, S_n = 0 everywhere, and therefore index 2 with
-    statistic 0 — the "no change detected" signal.
+    statistic 0 — the "no change detected" signal.  A robust trace need not
+    rise to C_N; where C_n / C_N overflows it raises :class:`NonFiniteTrace`.
     """
     n_total = trace.source_length
     if n_total < 4:
@@ -124,7 +125,13 @@ def icss_detect(trace: CssTrace) -> DetectionResult:
     c_total = float(trace.values[-1])
     if c_total == 0.0:
         raise ZeroTotalSumOfSquares("C_N = 0; ICSS statistic undefined")
-    s = trace.values / c_total - np.arange(1, n_total + 1) / n_total
+    try:
+        with np.errstate(over="raise"):
+            s = trace.values / c_total - np.arange(1, n_total + 1) / n_total
+    except FloatingPointError:
+        raise NonFiniteTrace(
+            "ICSS statistic overflows float64 on this trace; rescale the series"
+        ) from None
     interior = np.abs(s[1 : n_total - 1])
     cp = 2 + int(np.argmax(interior))
     return DetectionResult(
@@ -163,21 +170,18 @@ def _prefix_blocks(c: np.ndarray):
 
     ``np.cumsum`` adds left to right, so a block summed after the previous
     block's last value repeats the additions of one cumsum over the whole
-    trace bit for bit; the first block takes a plain cumsum, so a leading
-    -0.0 keeps its sign.
+    trace bit for bit.  The first block starts from -0.0, since
+    -0.0 + x == x for every x, a leading -0.0 included.
     """
     n_total = c.shape[0]
-    last = None
+    last = (-0.0, -0.0, -0.0)
     for lo in range(0, n_total, OLS_BLOCK_ROWS):
         hi = min(lo + OLS_BLOCK_ROWS, n_total)
         j = np.arange(lo + 1, hi + 1, dtype=float)
         chord = c[0] + (c[-1] - c[0]) * (j - 1.0) / (n_total - 1.0)
         d = c[lo:hi] - chord
         terms = (d, j * d, d * d)
-        if last is None:
-            sums = [np.cumsum(t) for t in terms]
-        else:
-            sums = [np.cumsum(np.concatenate(([x], t)))[1:] for x, t in zip(last, terms)]
+        sums = [np.cumsum(np.concatenate(([x], t)))[1:] for x, t in zip(last, terms)]
         last = [p[-1] for p in sums]
         yield lo, j, *sums
 

@@ -33,6 +33,8 @@ __all__ = [
     "qcv_variance",
 ]
 
+_add = np.add.reduce  # np.sum's pairwise sum, less its call overhead
+
 
 @dataclass(frozen=True)
 class BmidConfig:
@@ -87,11 +89,11 @@ def _as_sample(values, min_len: int = 1, what: str = "sample") -> np.ndarray:
     return arr
 
 
-def _median_sorted(sorted_values: np.ndarray) -> float:
-    """Median of an already-sorted array."""
-    n = sorted_values.size
-    h = n // 2
-    if n % 2:
+def _median_sorted(sorted_values) -> float:
+    """Median of an already-sorted list or array."""
+    n = len(sorted_values)
+    h = n >> 1
+    if n & 1:
         return float(sorted_values[h])
     return float((sorted_values[h - 1] + sorted_values[h]) / 2.0)
 
@@ -104,18 +106,20 @@ def _mad_value(values: np.ndarray, med: float) -> float:
 def _bmid_core(values: np.ndarray, med: float, mad_val: float, c: float) -> float:
     """Biweight midvariance given precomputed median and MAD (> 0).
 
-    Sums over ``values`` in the order given, the original sample order, as
-    the incremental trace scan in :mod:`scaleshift.css` does too.
+    Sums over ``values`` in the order given, the original sample order.  It
+    runs once per prefix of a trace scan, so it enters no ``np.errstate``:
+    a MAD near the underflow limit sends |u| to inf, outside the weights
+    |u| < 1 as it should, and the caller quiets that overflow.
     """
-    # a MAD near the underflow limit sends |u| to inf, which lies outside
-    # the weights |u| < 1 as it should
-    with np.errstate(over="ignore"):
-        u = (values - med) / (c * mad_val)
-    inside = np.abs(u) < 1.0
-    d = values[inside] - med
-    u2 = u[inside] ** 2
-    num = values.size * np.sum(d * d * (1.0 - u2) ** 4)
-    den = np.sum((1.0 - u2) * (1.0 - 5.0 * u2)) ** 2
+    dev = values - med
+    u2 = dev / (c * mad_val)
+    u2 *= u2  # fl(u * u) < 1 exactly when |u| < 1
+    inside = u2 < 1.0
+    d = dev[inside]
+    u2 = u2[inside]
+    w = 1.0 - u2
+    num = values.size * _add(d * d * w ** 4)
+    den = _add(w * (1.0 - 5.0 * u2)) ** 2
     return float(num / den)
 
 
@@ -123,9 +127,8 @@ def _window_variance(sorted_values: np.ndarray, lo: int, hi: int) -> float:
     """Mean squared deviation over sorted_values[lo:hi] (QCV inner kernel)."""
     w = sorted_values[lo:hi]
     m = hi - lo
-    mu = float(np.sum(w) / m)
-    d = w - mu
-    return float(np.sum(d * d) / m)
+    d = w - _add(w) / m
+    return float(_add(d * d) / m)
 
 
 def sample_mean(values) -> float:
@@ -168,7 +171,8 @@ def bmid_variance(values, config: BmidConfig | None = None) -> float:
     mad_val = _mad_value(arr, med)
     if mad_val == 0.0:
         raise DegenerateScale("MAD is zero; biweight weights are undefined")
-    return _bmid_core(arr, med, mad_val, cfg.c)
+    with np.errstate(over="ignore"):
+        return _bmid_core(arr, med, mad_val, cfg.c)
 
 
 def qcv_variance(values, bounds: QcvBounds | None = None) -> float:

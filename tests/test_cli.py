@@ -347,6 +347,22 @@ class TestBulkIngest:
         assert len(rest) == 1
         assert np.concatenate(rest[0]).tolist() == [-1e-3, 7.0]
 
+    @pytest.mark.parametrize("blank", ["  ", "\t", " ,\t,", ",,"])
+    def test_blank_looking_rows_take_the_bulk_path(self, tmp_path, monkeypatch,
+                                                   blank):
+        # np.loadtxt raises on these rows, which the row loop skips
+        rest = self._spy(monkeypatch, "_read_plain_rest")
+        path = _write(
+            tmp_path, "w.csv",
+            f"index,price\r\n1,100.5\r\n{blank}\r\n2,-1e-3\r\n3,7\r\n{blank}\r\n",
+        )
+        got = ingest_csv(path, "price").values
+        assert len(rest) == 1 and rest[0] is not None
+        assert np.concatenate(rest[0]).tolist() == [-1e-3, 7.0]
+        with _row_loop_only():
+            assert ingest_csv(path, "price").values.tobytes() == got.tobytes()
+        assert got.tolist() == [100.5, -1e-3, 7.0]
+
     def test_file_larger_than_one_block(self, tmp_path, monkeypatch):
         x = np.random.default_rng(3).standard_normal(60_000) * 1e3
         head = "index,value\r\n1,%r\r\n" % x[0].item()
@@ -608,6 +624,23 @@ class TestDetectCommand:
         assert rc == 2
         assert caught == []
         err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert json.loads(err[0])["error"] == "NonFiniteTrace"
+
+    @pytest.mark.parametrize("estimator", ["bmid", "qcv"])
+    def test_overflowing_icss_statistic_contract(self, estimator, tmp_path,
+                                                 capsys):
+        # the robust C_N is about 1e-318 and C_2 = 2e20: C_n / C_N overflows
+        path = _write(tmp_path, "tiny.csv", "1e10\n1e10\n" + "1e-160\n" * 98)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = main(["detect", "--input", path, "--estimator", estimator,
+                       "--orientation", "off"])
+        assert rc == 2
+        assert caught == []
+        out, err = capsys.readouterr()
+        assert out == ""
+        err = err.splitlines()
         assert len(err) == 1
         assert json.loads(err[0])["error"] == "NonFiniteTrace"
 

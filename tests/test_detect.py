@@ -582,6 +582,22 @@ class TestNonFiniteTrace:
             with pytest.raises(NonFiniteTrace):
                 detect_oriented(oriented, METHOD_OLS)
 
+    @pytest.mark.parametrize("spec", SPECS[1:])
+    def test_icss_refuses_an_overflowing_ratio(self, spec):
+        # the median of the 1e-160 tail and a MAD of 0 make C_N about
+        # 1e-318, so C_2 = 2e20 over C_N overflows; an inf statistic would
+        # win the argmax
+        x = np.array([1e10, 1e10] + [1e-160] * 98)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            oriented = orient(x, spec, orientation="off")
+            assert np.all(np.isfinite(oriented.trace.values))
+            assert 0.0 < oriented.trace.values[-1] < 1e-300
+            with pytest.raises(NonFiniteTrace):
+                detect_oriented(oriented, METHOD_ICSS)
+            # the classical trace rises to C_N, so its ratio stays finite
+            assert np.isfinite(icss_detect(classical_css(x)).statistic_at_cp)
+
     @pytest.mark.parametrize("spec", SPECS)
     def test_ols_oracle_refuses_overflow(self, spec):
         # the refit of every candidate squares residuals of order 1e302

@@ -1,4 +1,6 @@
 """Unit tests for the location and scale estimators."""
+import warnings
+
 import numpy as np
 import pytest
 
@@ -10,10 +12,12 @@ from scaleshift import (
     InvalidParameter,
     NonFiniteSample,
     QcvBounds,
+    ScaleEstimatorSpec,
     WindowTooSmall,
     bmid_variance,
     mad,
     qcv_variance,
+    robust_css,
     sample_mean,
     sample_median,
     sample_variance,
@@ -121,6 +125,21 @@ class TestBmidVariance:
     def test_too_short(self):
         with pytest.raises(InsufficientLength):
             bmid_variance([3.0])
+
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_subnormal_mad_is_quiet(self, n):
+        # a MAD of 5e-324 sends |u| of the values of order 1 to inf, outside
+        # the weights; bmid_variance quiets that overflow itself, since the
+        # kernel it shares with the trace scan enters no errstate
+        cells = [5e-324, 1e-323, 5e-324, 1.0, 2.0, -1.0, 3.0, 0.5, 1e-323]
+        prefix = cells[:n]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert mad(prefix) == 5e-324
+            v = bmid_variance(prefix)
+            m = sample_median(prefix)
+        trace = robust_css(cells, ScaleEstimatorSpec.bmid()).values
+        assert np.float64(n * (v + m * m) - v).tobytes() == trace[n - 1].tobytes()
 
     def test_config_validation(self):
         with pytest.raises(InvalidParameter):
