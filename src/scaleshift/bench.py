@@ -35,6 +35,9 @@ __all__ = [
     "run_mae_study",
     "run_timing_study",
     "normalized_error",
+    "grid_point_id",
+    "trial_seed",
+    "median_ci_ranks",
     "summarize_boxplot",
     "write_mae_csv",
     "write_mae_json",
@@ -91,6 +94,8 @@ class BenchConfig:
     def __post_init__(self):
         if self.trials < 1:
             raise ConfigError(f"trials must be >= 1, got {self.trials}")
+        if self.base_seed < 0:
+            raise ConfigError(f"base seed must be >= 0, got {self.base_seed}")
         if not self.grid:
             raise ConfigError("benchmark grid is empty")
         if not self.methods:
@@ -273,15 +278,20 @@ class TimingReport:
 def median_ci_ranks(n: int, level: float = 0.95) -> tuple[int, int] | None:
     """1-based order-statistic ranks bracketing the median at >= ``level``
     coverage (binomial argument); None when unattainable at this n."""
-    tail = (1.0 - level) / 2.0
-    cdf = 0.0
+    # exact integers: 2**n times the binomial CDF is compared with the
+    # float tail p / q, so no term overflows or underflows at large n
+    p, q = ((1.0 - level) / 2.0).as_integer_ratio()
+    bound = p << n
+    term = 1  # C(n, k)
+    cdf = 0
     best = 0
     for k in range(n + 1):
-        cdf += math.comb(n, k) * 0.5 ** n
-        if cdf <= tail:
+        cdf += term
+        if cdf * q <= bound:
             best = k + 1
         else:
             break
+        term = term * (n - k) // (k + 1)
     if best == 0:
         return None
     return best, n + 1 - best

@@ -29,7 +29,7 @@ import numpy as np
 
 from . import bench as bench_mod
 from .bench import _fmt
-from .css import ScaleEstimatorSpec
+from .css import KIND_BMID, KIND_CLASSICAL, KIND_QCV, ScaleEstimatorSpec
 from .detect import (
     METHOD_ICSS,
     METHOD_OLS,
@@ -352,58 +352,56 @@ def preprocess(ts: TimeSeries, spec: PreprocessSpec) -> TimeSeries:
 # --------------------------------------------------------------------------
 # presets
 
-def _stable_grid(alphas, gamma2s, trials):
-    grid = tuple(
+def _stable_grid(alphas, gamma2s):
+    return tuple(
         StableSpec(alpha=a, gamma2=g, N=1000) for a in alphas for g in gamma2s
     )
-    return grid, trials
+
+
+def _mixture_grid(ratios_omega2s):
+    """Mixture grid points from (nu / omega2, omega2) pairs."""
+    return tuple(
+        MixtureSpec(omega2=w, nu=r * w, p=0.05, N=1000) for r, w in ratios_omega2s
+    )
+
+
+_FULL_SCALES = (0.2, 0.25, 0.33, 0.5, 2.0, 3.0, 4.0, 5.0)
+_TIMING_GRID = (MixtureSpec(omega2=5.0, nu=15.0, p=0.05, N=1000),)
+# name -> (grid, robust methods only, trials, n_list); '-desk' presets are
+# CI-scale reductions of the '-full' ones
+_PRESETS = {
+    "stable-desk": (_stable_grid((1.1, 2.0), (0.2, 3.0, 5.0)), False, 50, ()),
+    "stable-full": (_stable_grid((1.1, 1.9, 2.0), _FULL_SCALES), False, 100, ()),
+    "mixture-desk": (
+        _mixture_grid(((5.0, 2.0), (5.0, 5.0), (1.5, 0.5))), False, 50, ()
+    ),
+    "mixture-full": (
+        _mixture_grid([(r, w) for r in (1.5, 5.0) for w in _FULL_SCALES]),
+        False, 100, (),
+    ),
+    "timing-desk": (_TIMING_GRID, True, 6, (100, 200, 400, 800, 1600, 3200, 5000)),
+    "timing-full": (
+        _TIMING_GRID, True, 20,
+        (
+            40, 50, 60, 70, 100, 200, 250, 300, 350, 400, 450, 500, 550,
+            600, 650, 700, 750, 800, 850, 900, 950, 1000, 1500, 2000, 5000,
+        ),
+    ),
+}
 
 
 def build_preset(name: str, base_seed: int) -> bench_mod.BenchConfig:
-    """Named benchmark configurations ('-desk' are CI-scale reductions)."""
+    """The named benchmark configuration of ``_PRESETS``."""
+    try:
+        grid, robust_only, trials, n_list = _PRESETS[name]
+    except KeyError:
+        raise ConfigError(f"unknown preset {name!r}") from None
     methods = bench_mod.default_methods()
-    if name == "stable-desk":
-        grid, trials = _stable_grid((1.1, 2.0), (0.2, 3.0, 5.0), 50)
-    elif name == "stable-full":
-        grid, trials = _stable_grid(
-            (1.1, 1.9, 2.0), (0.2, 0.25, 0.33, 0.5, 2.0, 3.0, 4.0, 5.0), 100
-        )
-    elif name == "mixture-desk":
-        grid = tuple(
-            MixtureSpec(omega2=w, nu=r * w, p=0.05, N=1000)
-            for r, w in ((5.0, 2.0), (5.0, 5.0), (1.5, 0.5))
-        )
-        trials = 50
-    elif name == "mixture-full":
-        grid = tuple(
-            MixtureSpec(omega2=w, nu=r * w, p=0.05, N=1000)
-            for r in (1.5, 5.0)
-            for w in (0.2, 0.25, 0.33, 0.5, 2.0, 3.0, 4.0, 5.0)
-        )
-        trials = 100
-    elif name == "timing-desk":
-        return bench_mod.BenchConfig(
-            grid=(MixtureSpec(omega2=5.0, nu=15.0, p=0.05, N=1000),),
-            methods=tuple(m for m in methods if m.estimator.is_robust),
-            trials=6,
-            base_seed=base_seed,
-            n_list=(100, 200, 400, 800, 1600, 3200, 5000),
-        )
-    elif name == "timing-full":
-        return bench_mod.BenchConfig(
-            grid=(MixtureSpec(omega2=5.0, nu=15.0, p=0.05, N=1000),),
-            methods=tuple(m for m in methods if m.estimator.is_robust),
-            trials=20,
-            base_seed=base_seed,
-            n_list=(
-                40, 50, 60, 70, 100, 200, 250, 300, 350, 400, 450, 500, 550,
-                600, 650, 700, 750, 800, 850, 900, 950, 1000, 1500, 2000, 5000,
-            ),
-        )
-    else:
-        raise ConfigError(f"unknown preset {name!r}")
+    if robust_only:
+        methods = tuple(m for m in methods if m.estimator.is_robust)
     return bench_mod.BenchConfig(
-        grid=grid, methods=methods, trials=trials, base_seed=base_seed
+        grid=grid, methods=methods, trials=trials, base_seed=base_seed,
+        n_list=n_list,
     )
 
 
@@ -466,9 +464,9 @@ def _model_spec(args, **extra):
 
 
 def _estimator_from_args(args) -> ScaleEstimatorSpec:
-    if args.estimator == "classical":
+    if args.estimator == KIND_CLASSICAL:
         return ScaleEstimatorSpec.classical()
-    if args.estimator == "bmid":
+    if args.estimator == KIND_BMID:
         return ScaleEstimatorSpec.bmid(args.bmid_c)
     return ScaleEstimatorSpec.qcv(args.qcv_a, args.qcv_b)
 
@@ -500,14 +498,15 @@ def _cmd_detect(args) -> int:
         "source": ts.source,
         "preprocessing": list(ts.preprocessing),
     }
+    # the trace file first, so a failed write leaves no result behind
+    if args.trace_csv:
+        _write_trace_csv(args.trace_csv, result)
     text = json.dumps(payload, indent=2)
     if args.output:
         with open(args.output, "w") as fh:
             fh.write(text + "\n")
     else:
         print(text)
-    if args.trace_csv:
-        _write_trace_csv(args.trace_csv, result)
     return 0
 
 
@@ -659,7 +658,9 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p_det.add_argument("--preprocess", default="", help="e.g. log-returns,diff:1,agg:10:mean")
     p_det.add_argument("--method", choices=(METHOD_ICSS, METHOD_OLS), default=METHOD_ICSS)
     p_det.add_argument(
-        "--estimator", choices=("classical", "bmid", "qcv"), default="bmid"
+        "--estimator",
+        choices=(KIND_CLASSICAL, KIND_BMID, KIND_QCV),
+        default=KIND_BMID,
     )
     p_det.add_argument("--bmid-c", type=float, default=9.0)
     p_det.add_argument("--qcv-a", type=float, default=0.1)
@@ -695,8 +696,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p_bench = sub.add_parser("bench", help="run a Monte Carlo study")
     p_bench.add_argument("kind", choices=("mae", "timing"))
     p_bench.add_argument("--config", help="flat key=value config file")
-    p_bench.add_argument("--preset", help="stable-desk|stable-full|mixture-desk|"
-                                          "mixture-full|timing-desk|timing-full")
+    p_bench.add_argument("--preset", choices=_PRESETS)
     p_bench.add_argument("--model", choices=("stable", "mixture"))
     p_bench.add_argument("--alpha", type=float)
     p_bench.add_argument("--gamma1", type=float, default=1.0)

@@ -33,6 +33,9 @@ from .estimators import (
 )
 
 __all__ = [
+    "KIND_CLASSICAL",
+    "KIND_BMID",
+    "KIND_QCV",
     "Orientation",
     "ScaleEstimatorSpec",
     "CssTrace",

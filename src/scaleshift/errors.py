@@ -5,6 +5,27 @@ callers (including the CLI) can catch one type and map it to a machine-readable
 category.  Filesystem problems are left to the builtin ``OSError`` family.
 """
 
+__all__ = [
+    "ScaleShiftError",
+    "EmptySample",
+    "InsufficientLength",
+    "NonFiniteSample",
+    "InvalidParameter",
+    "InvalidAlpha",
+    "InvalidGamma",
+    "DegenerateScale",
+    "WindowTooSmall",
+    "ZeroTotalSumOfSquares",
+    "NonFiniteTrace",
+    "IndexOutOfRange",
+    "ConfigError",
+    "EmptyInput",
+    "ParseError",
+    "EmptyColumn",
+    "NonPositiveForLog",
+    "TooShortAfterPreprocess",
+]
+
 
 class ScaleShiftError(Exception):
     """Base class for all scaleshift errors."""

@@ -30,6 +30,11 @@ def make_rng(seed) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
 
 
+def _validate_seed(seed: int) -> None:
+    if seed < 0:
+        raise InvalidParameter(f"seed must be >= 0, got {seed}")
+
+
 def _validate_cp(cp: int | None, n: int) -> int:
     if n < 4:
         raise InvalidParameter(f"series length must be at least 4, got {n}")
@@ -59,6 +64,7 @@ class StableSpec:
             raise InvalidGamma("scale parameters must be positive")
         if self.gamma1 == self.gamma2:
             raise InvalidParameter("gamma1 == gamma2 defines no scale change")
+        _validate_seed(self.seed)
         object.__setattr__(self, "cp", _validate_cp(self.cp, self.N))
 
 
@@ -87,6 +93,7 @@ class MixtureSpec:
             raise InvalidParameter(f"nu must be positive, got {self.nu}")
         if not (0.0 <= self.p < 0.5):
             raise InvalidParameter(f"p must lie in [0, 0.5), got {self.p}")
+        _validate_seed(self.seed)
         object.__setattr__(self, "cp", _validate_cp(self.cp, self.N))
 
 

@@ -88,6 +88,11 @@ class TestBenchConfigValidation:
         with pytest.raises(ConfigError):
             BenchConfig(grid=(StableSpec(alpha=2.0, gamma2=4.0, N=60),), methods=())
 
+    def test_base_seed_non_negative(self):
+        with pytest.raises(ConfigError, match="base seed must be >= 0"):
+            BenchConfig(grid=(StableSpec(alpha=2.0, gamma2=4.0, N=60),),
+                        methods=default_methods(), base_seed=-2)
+
 
 class TestSummarizeBoxplot:
     def test_degenerate(self):
@@ -311,6 +316,12 @@ class TestMedianCiRanks:
         assert median_ci_ranks(5) is None
         assert median_ci_ranks(6) == (1, 6)
         assert median_ci_ranks(100) == (40, 61)
+
+    def test_large_n(self):
+        # C(n, k) no longer converts to a float from n = 1033 on
+        assert median_ci_ranks(1033) == (485, 549)
+        assert median_ci_ranks(1075) == (505, 571)
+        assert median_ci_ranks(5000) == (2431, 2570)
 
     def test_symmetry(self):
         for n in (6, 11, 20, 33):

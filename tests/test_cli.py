@@ -1,5 +1,6 @@
 """Unit tests for CSV ingestion, preprocessing, and the CLI subcommands."""
 import csv
+import hashlib
 import io
 import json
 import math
@@ -25,6 +26,7 @@ from scaleshift import (
     TooShortAfterPreprocess,
     detect_oriented,
     gen_mixture_series,
+    grid_point_id,
     icss_detect,
     orient,
     reverse_sample,
@@ -53,6 +55,17 @@ def _write(tmp_path, name, text):
 
 def _ts(values):
     return TimeSeries(values=np.asarray(values, dtype=float), source="test")
+
+
+def _assert_error_contract(rc, capsys, error):
+    """Exit 2, an empty stdout and one JSON line on stderr naming ``error``."""
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == error
+    return json.loads(lines[0])["message"]
 
 
 class TestIngestCsv:
@@ -407,6 +420,19 @@ class TestBulkIngest:
         with _row_loop_only():
             assert _ingest_outcome(path, 1) == got
 
+    def test_undecodable_byte_past_the_first_chunk(self, tmp_path, monkeypatch):
+        # the row loop decodes the first 8 KiB; the bulk reader meets the
+        # bad byte, refuses, and the row loop reports it
+        path = tmp_path / "ff.csv"
+        path.write_bytes(b"1.0\n" * 3000 + b"\xff\n2.0\n")
+        rest = self._spy(monkeypatch, "_read_plain_rest")
+        blocks = self._spy(monkeypatch, "_read_plain_block")
+        got = _ingest_outcome(str(path), 1)
+        assert rest == [None] and blocks == []
+        assert got[0] == "ParseError" and got[1].startswith("file is not valid text")
+        with _row_loop_only():
+            assert _ingest_outcome(str(path), 1) == got
+
     def test_blank_block_is_skipped_without_warning(self, tmp_path, monkeypatch):
         path = _write(tmp_path, "b.csv", "v\r\n1\r\n\r\n\r\n2\r\n\r\n")
         monkeypatch.setattr(cli, "CSV_BLOCK_CHARS", 2)
@@ -511,6 +537,16 @@ class TestDetectCommand:
         assert len(rows) == 401
         # 17-digit round-trip
         assert float(rows[1][1]) >= 0.0
+
+    @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "output"])
+    def test_failed_trace_write_leaves_no_result(self, fixture_csv, tmp_path,
+                                                 to_file, capsys):
+        out = tmp_path / "out.json"
+        argv = ["detect", "--input", fixture_csv, "--column", "2",
+                "--trace-csv", str(tmp_path / "missing" / "t.csv")]
+        rc = main(argv + (["--output", str(out)] if to_file else []))
+        _assert_error_contract(rc, capsys, "FileNotFound")
+        assert not out.exists()
 
     def test_classical_orientation_off(self, fixture_csv, capsys):
         rc = main(["detect", "--input", fixture_csv, "--column", "value",
@@ -1008,11 +1044,6 @@ class TestBenchCommand:
         assert rc == 2
         assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
 
-    def test_presets_build(self):
-        for name in ("stable-desk", "stable-full", "mixture-desk", "mixture-full",
-                     "timing-desk", "timing-full"):
-            cfg = build_preset(name, 0)
-            assert cfg.trials >= 1 and cfg.grid
 
     def test_timing_run_json(self, tmp_path):
         out = str(tmp_path / "t.json")
@@ -1037,3 +1068,149 @@ class TestBenchCommand:
         rc = main(["bench", "mae"])
         assert rc == 2
         assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
+
+    _LABELS = ["ICSS", "ICSS[BMID]", "ICSS[QCV]", "OLS", "OLS[BMID]", "OLS[QCV]"]
+    _ROBUST_LABELS = ["ICSS[BMID]", "ICSS[QCV]", "OLS[BMID]", "OLS[QCV]"]
+    # name -> (grid points, sha256[:16] of their comma-joined grid-point
+    # ids, trials, n_list, method labels)
+    _PRESETS = {
+        "stable-desk": (6, "bca67a323a688eb6", 50, (), _LABELS),
+        "stable-full": (24, "8a006199474f6bf2", 100, (), _LABELS),
+        "mixture-desk": (3, "e60ada834386ded7", 50, (), _LABELS),
+        "mixture-full": (16, "703bb6c27bc4bf78", 100, (), _LABELS),
+        "timing-desk": (
+            1, "f8c0e4b3ad297018", 6, (100, 200, 400, 800, 1600, 3200, 5000),
+            _ROBUST_LABELS,
+        ),
+        "timing-full": (
+            1, "f8c0e4b3ad297018", 20,
+            (40, 50, 60, 70, 100, 200, 250, 300, 350, 400, 450, 500, 550, 600,
+             650, 700, 750, 800, 850, 900, 950, 1000, 1500, 2000, 5000),
+            _ROBUST_LABELS,
+        ),
+    }
+
+    def test_presets_build(self):
+        for name, want in self._PRESETS.items():
+            cfg = build_preset(name, 7)
+            ids = ",".join(str(grid_point_id(spec)) for spec in cfg.grid)
+            assert (
+                len(cfg.grid),
+                hashlib.sha256(ids.encode()).hexdigest()[:16],
+                cfg.trials,
+                cfg.n_list,
+                [m.label for m in cfg.methods],
+            ) == want, name
+            assert cfg.base_seed == 7
+
+    def test_preset_choices_are_the_presets(self):
+        _, commands = cli._build_parser()
+        (action,) = (
+            a for a in commands["bench"]._actions if a.dest == "preset"
+        )
+        assert sorted(action.choices) == sorted(self._PRESETS)
+
+    def test_preset_summary_equals_its_csv(self, tmp_path, capsys):
+        argv = ["bench", "mae", "--preset", "stable-desk", "--trials", "2"]
+        assert main(argv) == 0
+        lines = capsys.readouterr().out.splitlines()
+        out = str(tmp_path / "mae.csv")
+        assert main(argv + ["--output-csv", out]) == 0
+        assert capsys.readouterr().out == ""
+        with open(out, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        # one line per (grid point, method), in grid order
+        assert len(rows) == 6 and len(lines) == 6 * 6
+        for i, line in enumerate(lines):
+            row, method = rows[i // 6], self._LABELS[i % 6]
+            head, _, tail = line.partition(": ")
+            label, _, got_method = head.rpartition(" ")
+            assert got_method == method
+            params = dict(part.split("=") for part in label.split())
+            assert params.keys() == {"model", "alpha", "gamma2", "N", "cp", "gamma1"}
+            assert params.pop("model") == row["model"] == "stable"
+            for key, value in params.items():
+                assert float(value) == float(row[key])
+            assert tail == (
+                f"mae={row['mae_' + method]} failures={row['failures_' + method]}"
+            )
+
+    def test_mae_json_and_detections_csv(self, tmp_path, capsys):
+        argv = ["bench", "mae", "--model", "mixture", "--omega2", "4",
+                "--nu", "12", "--p", "0.05", "--n", "60", "--trials", "2",
+                "--base-seed", "3"]
+        out_json = str(tmp_path / "mae.json")
+        assert main(argv + ["--output-json", out_json]) == 0
+        assert capsys.readouterr().out == ""
+        payload = json.loads(open(out_json).read())
+        assert payload["trials"] == 2 and payload["base_seed"] == 3
+        assert [r["method"] for r in payload["rows"]] == self._LABELS
+        out_det = str(tmp_path / "det.csv")
+        assert main(argv + ["--detections-csv", out_det]) == 0
+        # no table file asked for, so the summary is printed
+        assert len(capsys.readouterr().out.splitlines()) == 6
+        with open(out_det, newline="") as fh:
+            det = list(csv.DictReader(fh))
+        for r in payload["rows"]:
+            mine = [d for d in det if d["method"] == r["method"]]
+            failed = {f["trial"] for f in r["failures"]}
+            assert [int(d["trial"]) for d in mine] == [
+                t for t in range(2) if t not in failed
+            ]
+            assert [int(d["detection"]) for d in mine] == r["detections"]
+
+    def test_timing_csv_and_stdout_exponents(self, tmp_path, capsys):
+        argv = ["bench", "timing", "--model", "mixture", "--omega2", "5",
+                "--nu", "15", "--p", "0.05", "--trials", "2",
+                "--n-list", "20,40,80,120,200"]
+        out = str(tmp_path / "t.csv")
+        assert main(argv + ["--output-csv", out]) == 0
+        assert capsys.readouterr().out == ""
+        with open(out, newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["n", "method", "median_seconds", "ci_low", "ci_high"]
+        assert len(rows) == 1 + 5 * 6
+        assert main(argv) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.partition(": ")[0] for line in lines] == self._LABELS
+        for line in lines:
+            beta = line.partition(": ")[2]
+            assert beta.startswith("beta=") and math.isfinite(float(beta[5:]))
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--model", "stable", "--alpha", "1.5"],
+             "stable bench needs --alpha and --gamma2"),
+            (["--model", "mixture", "--omega2", "5", "--nu", "15"],
+             "mixture bench needs --omega2, --nu and --p"),
+        ],
+        ids=["stable", "mixture"],
+    )
+    def test_model_flags_required(self, argv, message, capsys):
+        rc = main(["bench", "mae", *argv])
+        assert _assert_error_contract(rc, capsys, "ConfigError") == message
+
+
+class TestNegativeSeedContract:
+    """numpy refuses a negative seed; the CLI reports it as a usage error."""
+
+    @pytest.mark.parametrize(
+        "argv, env, error",
+        [
+            (["simulate", "stable", "--n", "20", "--seed", "-1"], None,
+             "InvalidParameter"),
+            (["simulate", "mixture", "--n", "20"], "-3", "InvalidParameter"),
+            (["bench", "mae", "--model", "stable", "--alpha", "1.5",
+              "--gamma2", "3", "--n", "50", "--trials", "1", "--base-seed", "-2"],
+             None, "ConfigError"),
+        ],
+        ids=["simulate-flag", "simulate-env", "bench-flag"],
+    )
+    def test_negative_seed_contract(self, argv, env, error, monkeypatch, capsys):
+        if env is None:
+            monkeypatch.delenv("SCALESHIFT_SEED", raising=False)
+        else:
+            monkeypatch.setenv("SCALESHIFT_SEED", env)
+        message = _assert_error_contract(main(argv), capsys, error)
+        assert "seed must be >= 0" in message

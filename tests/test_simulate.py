@@ -55,6 +55,14 @@ class TestSpecValidation:
         # p = 0 permitted for testing (pure Gaussian limit)
         MixtureSpec(omega2=2.0, nu=5.0, p=0.0)
 
+    def test_seed_non_negative(self):
+        # numpy's SeedSequence refuses a negative seed; the spec says so first
+        with pytest.raises(InvalidParameter, match="seed must be >= 0"):
+            StableSpec(alpha=1.5, gamma2=2.0, seed=-1)
+        with pytest.raises(InvalidParameter, match="seed must be >= 0"):
+            MixtureSpec(omega2=2.0, nu=5.0, p=0.05, seed=-3)
+        StableSpec(alpha=1.5, gamma2=2.0, seed=0)
+
 
 class TestStableSampler:
     def test_alpha2_variance_convention(self):
