@@ -192,8 +192,7 @@ def _grid_fields(spec) -> tuple[tuple[str, object], ...]:
 
 
 def _grid_label(spec) -> str:
-    parts = [f"{k}={v}" for k, v in _grid_fields(spec)]
-    return " ".join(parts)
+    return " ".join(f"{k}={v}" for k, v in _grid_fields(spec))
 
 
 def run_mae_study(cfg: BenchConfig) -> MaeReport:
@@ -275,12 +274,13 @@ class TimingReport:
     exponents: tuple[tuple[str, float], ...]
 
 
-def median_ci_ranks(n: int, level: float = 0.95) -> tuple[int, int] | None:
-    """1-based order-statistic ranks bracketing the median at >= ``level``
+def median_ci_ranks(n: int) -> tuple[int, int] | None:
+    """1-based order-statistic ranks bracketing the median at >= 95%
     coverage (binomial argument); None when unattainable at this n."""
     # exact integers: 2**n times the binomial CDF is compared with the
-    # float tail p / q, so no term overflows or underflows at large n
-    p, q = ((1.0 - level) / 2.0).as_integer_ratio()
+    # float tail p / q, so no term overflows or underflows at large n.
+    # The tail is the float (1 - 0.95) / 2, 0.025000000000000022, not 0.025.
+    p, q = ((1.0 - 0.95) / 2.0).as_integer_ratio()
     bound = p << n
     term = 1  # C(n, k)
     cdf = 0
@@ -372,23 +372,19 @@ def _fmt(value) -> str:
 
 def write_mae_csv(report: MaeReport, path) -> None:
     """Wide MAE table: one row per grid point, one column per method."""
-    grid_order: list[str] = []
+    # grid points and methods in the order they first appear
     grid_params: dict[str, tuple] = {}
-    methods: list[str] = []
     cells: dict[tuple[str, str], MaeRow] = {}
     for row in report.rows:
-        if row.grid_label not in grid_order:
-            grid_order.append(row.grid_label)
-            grid_params[row.grid_label] = row.grid_params
-        if row.method not in methods:
-            methods.append(row.method)
-        cells[(row.grid_label, row.method)] = row
-    param_names = [k for k, _ in grid_params[grid_order[0]]]
+        grid_params.setdefault(row.grid_label, row.grid_params)
+        cells[row.grid_label, row.method] = row
+    methods = list(dict.fromkeys(m for _, m in cells))
+    param_names = [k for k, _ in report.rows[0].grid_params]
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(param_names + [f"mae_{m}" for m in methods] + [f"failures_{m}" for m in methods])
-        for label in grid_order:
-            params = dict(grid_params[label])
+        for label, params in grid_params.items():
+            params = dict(params)
             line = [_fmt(params[k]) for k in param_names]
             line += [_fmt(cells[(label, m)].mae) for m in methods]
             line += [str(len(cells[(label, m)].failures)) for m in methods]

@@ -46,6 +46,7 @@ from .errors import (
     ScaleShiftError,
     TooShortAfterPreprocess,
 )
+from .estimators import BmidConfig, QcvBounds
 from .simulate import MixtureSpec, StableSpec
 
 __all__ = [
@@ -305,7 +306,7 @@ def preprocess(ts: TimeSeries, spec: PreprocessSpec) -> TimeSeries:
     remainder dropped.  The result must keep at least 8 points.  A step
     that overflows gives inf or NaN without a numpy warning."""
     x = ts.values
-    applied = list(ts.preprocessing)
+    applied = (*ts.preprocessing, *(":".join(map(str, step)) for step in spec.steps))
     # A step may overflow to inf or NaN; orient() refuses such a series
     # with NonFiniteSample, so numpy's warnings would only repeat that.
     with np.errstate(all="ignore"):
@@ -319,7 +320,6 @@ def preprocess(ts: TimeSeries, spec: PreprocessSpec) -> TimeSeries:
                         "log-returns require strictly positive values"
                     )
                 x = np.log(x[1:] / x[:-1])
-                applied.append("log-returns")
             elif name == "difference":
                 k = step[1]
                 if x.size <= k:
@@ -327,7 +327,6 @@ def preprocess(ts: TimeSeries, spec: PreprocessSpec) -> TimeSeries:
                         f"difference order {k} leaves no data from {x.size} points"
                     )
                 x = np.diff(x, n=k)
-                applied.append(f"difference:{k}")
             else:
                 b, reducer = step[1], step[2]
                 nblocks = x.size // b
@@ -341,12 +340,11 @@ def preprocess(ts: TimeSeries, spec: PreprocessSpec) -> TimeSeries:
                     if reducer == "mean"
                     else np.median(blocks, axis=1)
                 )
-                applied.append(f"aggregate:{b}:{reducer}")
     if x.size < MIN_SERIES_LEN:
         raise TooShortAfterPreprocess(
             f"{x.size} points remain after preprocessing; need >= {MIN_SERIES_LEN}"
         )
-    return TimeSeries(values=x, source=ts.source, preprocessing=tuple(applied))
+    return TimeSeries(values=x, source=ts.source, preprocessing=applied)
 
 
 # --------------------------------------------------------------------------
@@ -574,35 +572,31 @@ def _cmd_bench(args) -> int:
     base_seed = args.base_seed if args.base_seed is not None else _default_seed()
     if args.preset:
         cfg = build_preset(args.preset, base_seed)
-        if args.trials is not None:
-            cfg = dataclasses.replace(cfg, trials=args.trials)
     else:
         cfg = _explicit_bench_config(args, base_seed)
+    if args.trials is not None:
+        cfg = dataclasses.replace(cfg, trials=args.trials)
     if args.kind == "mae":
         report = bench_mod.run_mae_study(cfg)
-        if args.output_csv:
-            bench_mod.write_mae_csv(report, args.output_csv)
-        if args.output_json:
-            bench_mod.write_mae_json(report, args.output_json)
-        if args.detections_csv:
-            bench_mod.write_detections_csv(report, args.detections_csv)
-        if not (args.output_csv or args.output_json):
-            for row in report.rows:
-                print(
-                    f"{row.grid_label} {row.method}: mae={_fmt(row.mae)} "
-                    f"failures={len(row.failures)}"
-                )
+        outputs = ((args.output_csv, bench_mod.write_mae_csv),
+                   (args.output_json, bench_mod.write_mae_json),
+                   (args.detections_csv, bench_mod.write_detections_csv))
+        summary = (
+            f"{r.grid_label} {r.method}: mae={_fmt(r.mae)} failures={len(r.failures)}"
+            for r in report.rows
+        )
     else:
         if args.n_list:
             cfg = dataclasses.replace(cfg, n_list=_parse_n_list(args.n_list))
         report = bench_mod.run_timing_study(cfg)
-        if args.output_csv:
-            bench_mod.write_timing_csv(report, args.output_csv)
-        if args.output_json:
-            bench_mod.write_timing_json(report, args.output_json)
-        if not (args.output_csv or args.output_json):
-            for label, beta in report.exponents:
-                print(f"{label}: beta={_fmt(beta)}")
+        outputs = ((args.output_csv, bench_mod.write_timing_csv),
+                   (args.output_json, bench_mod.write_timing_json))
+        summary = (f"{label}: beta={_fmt(beta)}" for label, beta in report.exponents)
+    for path, write in outputs:
+        if path:
+            write(report, path)
+    if not (args.output_csv or args.output_json):
+        print(*summary, sep="\n")
     return 0
 
 
@@ -626,7 +620,6 @@ def _explicit_bench_config(args, base_seed) -> bench_mod.BenchConfig:
     return bench_mod.BenchConfig(
         grid=(_model_spec(args),),
         methods=bench_mod.default_methods(),
-        trials=args.trials if args.trials is not None else 50,
         base_seed=base_seed,
     )
 
@@ -650,6 +643,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
         description="Offline scale change-point detection for heavy-tailed series",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    orient_kw = orient.__kwdefaults__  # the defaults that orient states
 
     p_det = sub.add_parser("detect", help="detect a scale change in a CSV series")
     p_det.add_argument("--config", help="flat key=value config file")
@@ -662,17 +656,17 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
         choices=(KIND_CLASSICAL, KIND_BMID, KIND_QCV),
         default=KIND_BMID,
     )
-    p_det.add_argument("--bmid-c", type=float, default=9.0)
-    p_det.add_argument("--qcv-a", type=float, default=0.1)
-    p_det.add_argument("--qcv-b", type=float, default=0.9)
+    p_det.add_argument("--bmid-c", type=float, default=BmidConfig.c)
+    p_det.add_argument("--qcv-a", type=float, default=QcvBounds.a)
+    p_det.add_argument("--qcv-b", type=float, default=QcvBounds.b)
     p_det.add_argument(
         "--orientation",
         choices=ORIENTATIONS,
-        default="auto",
+        default=orient_kw["orientation"],
         help="orientation correction; auto = on for robust estimators",
     )
-    p_det.add_argument("--head-len", type=int, default=6)
-    p_det.add_argument("--prefix-threshold", type=float, default=0.05)
+    p_det.add_argument("--head-len", type=int, default=orient_kw["head_len"])
+    p_det.add_argument("--prefix-threshold", type=float, default=orient_kw["threshold"])
     p_det.add_argument("--output", help="write result JSON here (default stdout)")
     p_det.add_argument("--trace-csv", help="write n,css,statistic rows here")
     p_det.set_defaults(func=_cmd_detect)
@@ -685,7 +679,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p_sim.add_argument("--seed", type=int, default=None,
                        help=f"defaults to ${SEED_ENV_VAR} or 0")
     p_sim.add_argument("--alpha", type=float, default=1.5)
-    p_sim.add_argument("--gamma1", type=float, default=1.0)
+    p_sim.add_argument("--gamma1", type=float, default=StableSpec.gamma1)
     p_sim.add_argument("--gamma2", type=float, default=3.0)
     p_sim.add_argument("--omega2", type=float, default=3.0)
     p_sim.add_argument("--nu", type=float, default=15.0)
@@ -699,7 +693,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p_bench.add_argument("--preset", choices=_PRESETS)
     p_bench.add_argument("--model", choices=("stable", "mixture"))
     p_bench.add_argument("--alpha", type=float)
-    p_bench.add_argument("--gamma1", type=float, default=1.0)
+    p_bench.add_argument("--gamma1", type=float, default=StableSpec.gamma1)
     p_bench.add_argument("--gamma2", type=float)
     p_bench.add_argument("--omega2", type=float)
     p_bench.add_argument("--nu", type=float)
@@ -757,13 +751,23 @@ def main(argv=None) -> int:
                 f"config file {args.config!r} not read: "
                 "spell the option --config FILE or --config=FILE"
             )
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()  # a closed stdout fails here, not at exit
+        return status
     except ScaleShiftError as exc:
         payload = {"error": type(exc).__name__, "message": str(exc)}
         if isinstance(exc, ParseError) and exc.line is not None:
             payload["line"] = exc.line
         print(json.dumps(payload), file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # The reader closed stdout early, which ends the run but is no
+        # failure of it.  fd 1 now leads nowhere, so the flush at exit
+        # cannot fail a second time.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, 1)
+        os.close(devnull)
+        return 0
     except OSError as exc:
         name = (
             "FileNotFound"

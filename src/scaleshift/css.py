@@ -97,11 +97,13 @@ class ScaleEstimatorSpec:
         return cls(KIND_CLASSICAL)
 
     @classmethod
-    def bmid(cls, c: float = 9.0) -> "ScaleEstimatorSpec":
+    def bmid(cls, c: float = BmidConfig.c) -> "ScaleEstimatorSpec":
         return cls(KIND_BMID, bmid_config=BmidConfig(c))
 
     @classmethod
-    def qcv(cls, a: float = 0.1, b: float = 0.9) -> "ScaleEstimatorSpec":
+    def qcv(
+        cls, a: float = QcvBounds.a, b: float = QcvBounds.b
+    ) -> "ScaleEstimatorSpec":
         return cls(KIND_QCV, qcv_bounds=QcvBounds(a, b))
 
     def describe(self) -> dict:

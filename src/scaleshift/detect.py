@@ -284,10 +284,13 @@ def orient(
     :class:`InvalidParameter`.  With orientation on, the sample is reversed
     when its trace is convex (scale increases make the robust trace bend
     below its chord), unless the reversed trace has the constant-head
-    signature; the classical spec then runs the same test on
-    :func:`classical_css`, and the series needs at least 8 points.  With
-    orientation off, the classical spec gives :func:`classical_css` and a
-    robust spec its forward trace.
+    signature (:func:`constant_prefix_check` with ``head_len`` and
+    ``threshold``); the classical spec then runs the same test on
+    :func:`classical_css`.  The test needs at least max(8, head_len + 2)
+    points, checked before any trace is built.  With orientation off, the
+    classical spec gives :func:`classical_css` and a robust spec its
+    forward trace.  ``head_len`` below 1 raises :class:`InvalidParameter`
+    on every call.
 
     Builds one trace, or two when the forward trace is convex.  Any number
     of detectors can then run on the result with :func:`detect_oriented`.
@@ -297,11 +300,13 @@ def orient(
         raise InvalidParameter(
             f"orientation must be one of {ORIENTATIONS}, got {orientation!r}"
         )
+    if head_len < 1:
+        raise InvalidParameter("head_len must be >= 1")
     if orientation == "off" or (orientation == "auto" and not spec.is_robust):
         if not spec.is_robust:
             return OrientedTrace(classical_css(values))
         return OrientedTrace(robust_css(values, spec))
-    arr = _as_sample(values, min_len=8, what="series")
+    arr = _as_sample(values, min_len=max(8, head_len + 2), what="series")
     trace = robust_css(arr, spec)
     if detect_orientation(trace) is Orientation.CONVEX:
         rev = robust_css(reverse_sample(arr), spec)

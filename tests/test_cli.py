@@ -4,6 +4,9 @@ import hashlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 from unittest import mock
@@ -13,7 +16,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import scaleshift
 from scaleshift import (
+    BenchConfig,
+    BmidConfig,
     ConfigError,
     CssTrace,
     DetectionResult,
@@ -22,8 +28,11 @@ from scaleshift import (
     NonPositiveForLog,
     OrientedTrace,
     ParseError,
+    QcvBounds,
     ScaleEstimatorSpec,
+    StableSpec,
     TooShortAfterPreprocess,
+    default_methods,
     detect_oriented,
     gen_mixture_series,
     grid_point_id,
@@ -493,6 +502,29 @@ class TestPreprocess:
             preprocess(_ts([1, 4, 9, 16]), PreprocessSpec((("difference", 1),)))
         with pytest.raises(TooShortAfterPreprocess):
             preprocess(_ts([1, 3, 5, 7]), PreprocessSpec((("aggregate", 2, "mean"),)))
+
+    @pytest.mark.parametrize(
+        "values, step, message",
+        [
+            ([2.0], ("log-returns",), "log-returns needs >= 2 points"),
+            ([1.0, 2.0, 3.0], ("difference", 3),
+             "difference order 3 leaves no data from 3 points"),
+            ([1.0, 2.0, 3.0], ("aggregate", 4, "mean"),
+             "aggregate block 4 leaves no data from 3 points"),
+        ],
+        ids=["log-returns", "difference", "aggregate"],
+    )
+    def test_step_that_leaves_no_data(self, values, step, message):
+        with pytest.raises(TooShortAfterPreprocess) as exc:
+            preprocess(_ts(values), PreprocessSpec((step,)))
+        assert str(exc.value) == message
+
+    def test_labels_name_each_step(self):
+        spec = parse_preprocess_spec("log-returns,diff:2,agg:3,agg:2:median")
+        ts = preprocess(_ts(np.exp(np.arange(1.0, 60.0) ** 0.5)), spec)
+        assert ts.preprocessing == (
+            "log-returns", "difference:2", "aggregate:3:mean", "aggregate:2:median"
+        )
 
     def test_length_algebra(self):
         # after difference(k) then aggregate(b): floor((N - k) / b) points
@@ -1103,6 +1135,10 @@ class TestBenchCommand:
             ) == want, name
             assert cfg.base_seed == 7
 
+    def test_unknown_preset_name(self):
+        with pytest.raises(ConfigError, match="unknown preset 'nope'"):
+            build_preset("nope", 0)
+
     def test_preset_choices_are_the_presets(self):
         _, commands = cli._build_parser()
         (action,) = (
@@ -1214,3 +1250,157 @@ class TestNegativeSeedContract:
             monkeypatch.setenv("SCALESHIFT_SEED", env)
         message = _assert_error_contract(main(argv), capsys, error)
         assert "seed must be >= 0" in message
+
+
+class TestErrorBranchContracts:
+    """Failures of the CLI's own checks, each reported by the error
+    contract: exit 2, one JSON line on stderr and an empty stdout."""
+
+    STABLE_UP = str(FIXTURES / "stable_up.csv")
+
+    @pytest.mark.parametrize(
+        "argv, env, error, message",
+        [
+            (["detect", "--input", STABLE_UP, "--preprocess", "agg"], None,
+             "ConfigError", "aggregate needs a block size: 'agg'"),
+            (["detect", "--input", STABLE_UP, "--column", "0"], None,
+             "ConfigError", "column index must be >= 1, got 0"),
+            (["simulate", "stable", "--n", "20"], "x",
+             "ConfigError", "SCALESHIFT_SEED must be an integer, got 'x'"),
+            (["detect", "--input", STABLE_UP, "--config"], None,
+             "ConfigError", "--config needs a file path"),
+            (["--config", "x.cfg"], None, "ConfigError", None),
+            (["simulate", "stable", "--n", "3"], None,
+             "InvalidParameter", "series length must be at least 4, got 3"),
+            (["simulate", "mixture", "--omega2", "0"], None,
+             "InvalidParameter", "omega2 must be positive, got 0.0"),
+            (["simulate", "mixture", "--nu", "0"], None,
+             "InvalidParameter", "nu must be positive, got 0.0"),
+        ],
+        ids=["unsized-aggregate", "column-0", "seed-env", "trailing-config",
+             "config-without-subcommand", "simulate-n-3", "omega2-0", "nu-0"],
+    )
+    def test_contract(self, argv, env, error, message, monkeypatch, capsys):
+        if env is None:
+            monkeypatch.delenv("SCALESHIFT_SEED", raising=False)
+        else:
+            monkeypatch.setenv("SCALESHIFT_SEED", env)
+        got = _assert_error_contract(main(argv), capsys, error)
+        assert got == message if message is not None else got
+
+    def test_overlong_unfinished_last_line(self, tmp_path, monkeypatch, capsys):
+        # the last line is longer than a bulk block and the field size
+        # limit: the bulk reader refuses its carry, and the row loop reads
+        # the file again and reports the line
+        path = _write(tmp_path, "long.csv", "v\n1\n" + "3" * 1_200_000)
+        calls = []
+        read_column = cli._read_column
+
+        def spy(path, column, *, bulk):
+            calls.append(bulk)
+            return read_column(path, column, bulk=bulk)
+
+        monkeypatch.setattr(cli, "_read_column", spy)
+        rc = main(["detect", "--input", path])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        err = json.loads(line)
+        assert (err["error"], err["line"]) == ("ParseError", 3)
+        assert calls == [True, False]
+
+
+class TestHeadLenChecked:
+    """``--head-len`` is checked before any scan, whichever way the trace
+    bends: stable_up's forward trace is convex, stable_down's concave."""
+
+    @pytest.mark.parametrize("name", ["stable_up.csv", "stable_down.csv"])
+    @pytest.mark.parametrize(
+        "head_len, error",
+        [("0", "InvalidParameter"), ("999", "InsufficientLength")],
+    )
+    def test_out_of_range(self, name, head_len, error, robust_scans, capsys):
+        rc = main(["detect", "--input", str(FIXTURES / name), "--column", "2",
+                   "--head-len", head_len])
+        _assert_error_contract(rc, capsys, error)
+        assert not robust_scans
+
+
+class TestLibraryDefaults:
+    """The parser states no default of its own where the library has one."""
+
+    def test_detect_options(self):
+        parser, _ = cli._build_parser()
+        args = parser.parse_args(["detect", "--input", "x.csv"])
+        kw = orient.__kwdefaults__
+        assert (args.bmid_c, args.qcv_a, args.qcv_b) == (
+            BmidConfig().c, QcvBounds().a, QcvBounds().b
+        )
+        assert (args.orientation, args.head_len, args.prefix_threshold) == (
+            kw["orientation"], kw["head_len"], kw["threshold"]
+        )
+
+    @pytest.mark.parametrize("argv", [["simulate", "stable"], ["bench", "mae"]])
+    def test_gamma1(self, argv):
+        parser, _ = cli._build_parser()
+        assert parser.parse_args(argv).gamma1 == StableSpec(1.5, 3.0).gamma1
+
+    _MODEL = ["bench", "mae", "--model", "mixture", "--omega2", "4", "--nu", "12",
+              "--p", "0.05", "--n", "20"]
+
+    def _trials(self, argv, tmp_path):
+        out = tmp_path / "mae.json"
+        assert main(argv + ["--output-json", str(out)]) == 0
+        return json.loads(out.read_text())["trials"]
+
+    def test_trials_default_and_override(self, tmp_path):
+        cfg = BenchConfig(grid=(MixtureSpec(4.0, 12.0, 0.05),), methods=default_methods())
+        assert self._trials(self._MODEL, tmp_path) == cfg.trials
+        assert self._trials(self._MODEL + ["--trials", "3"], tmp_path) == 3
+        preset = ["bench", "mae", "--preset", "mixture-desk", "--trials", "1"]
+        assert self._trials(preset, tmp_path) == 1
+
+    @pytest.mark.parametrize(
+        "argv", [_MODEL, ["bench", "mae", "--preset", "stable-desk"]],
+        ids=["explicit", "preset"],
+    )
+    def test_trials_checked_on_both_paths(self, argv, capsys):
+        rc = main(argv + ["--trials", "0"])
+        message = _assert_error_contract(rc, capsys, "ConfigError")
+        assert message == "trials must be >= 1, got 0"
+
+
+class TestClosedStdout:
+    """A reader that stops reading early ends the run with status 0 and an
+    empty stderr."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate", "stable", "--n", "200000"],
+            ["bench", "mae", "--preset", "stable-desk", "--trials", "2"],
+            pytest.param(
+                ["detect", "--input", str(FIXTURES / "stable_up.csv"),
+                 "--column", "2", "--trace-csv", "/dev/stdout"],
+                marks=pytest.mark.skipif(
+                    not os.path.exists("/dev/stdout"), reason="no /dev/stdout"
+                ),
+            ),
+        ],
+        ids=["simulate", "bench", "trace-csv"],
+    )
+    def test_reader_closes_after_one_line(self, argv):
+        env = dict(os.environ)
+        src = str(Path(scaleshift.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        run = "import sys; from scaleshift.cli import main; sys.exit(main())"
+        with subprocess.Popen(
+            [sys.executable, "-c", run, *argv],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        ) as proc:
+            assert proc.stdout.readline()
+            proc.stdout.close()
+            err = proc.stderr.read()
+            assert proc.wait(timeout=120) == 0
+        assert err == b""

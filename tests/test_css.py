@@ -268,6 +268,10 @@ class TestConstantPrefixCheck:
         with pytest.raises(InsufficientLength):
             constant_prefix_check(_trace(np.arange(1.0, 8.0)), head_len=6)
 
+    def test_head_len_below_one(self):
+        with pytest.raises(InvalidParameter, match="head_len must be >= 1"):
+            constant_prefix_check(_trace(np.arange(1.0, 21.0)), head_len=0)
+
 
 class TestReverseSample:
     def test_basic(self):

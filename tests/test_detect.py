@@ -496,6 +496,22 @@ class TestOrientationChoice:
         with pytest.raises(InsufficientLength):
             orient(x, ScaleEstimatorSpec.classical(), orientation="on")
 
+    def test_head_len_checked_before_any_scan(self, robust_scans):
+        x = _two_regime_gaussian(n=300, cp=150)
+        for orientation in ("auto", "on", "off"):
+            with pytest.raises(InvalidParameter):
+                orient(x, orientation=orientation, head_len=0)
+        # a convex and a concave forward trace alike
+        for sigma2 in (3.0, 1 / 3):
+            x = _two_regime_gaussian(n=300, cp=150, sigma2=sigma2)
+            with pytest.raises(InsufficientLength):
+                orient(x, head_len=x.size - 1)
+            with pytest.raises(InsufficientLength):
+                orient(x, ScaleEstimatorSpec.classical(), orientation="on",
+                       head_len=x.size - 1)
+        assert not robust_scans
+        assert orient(x, head_len=x.size - 2).trace.source_length == x.size
+
     def test_unknown_orientation_rejected(self):
         x = _two_regime_gaussian(n=100, cp=50)
         with pytest.raises(InvalidParameter):
