@@ -568,7 +568,36 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
+# bench flags that describe one model's grid point; a preset brings its own
+_STABLE_FLAGS = ("alpha", "gamma1", "gamma2")
+_MIXTURE_FLAGS = ("omega2", "nu", "p")
+_GRID_FLAGS = ("model", *_STABLE_FLAGS, *_MIXTURE_FLAGS, "n", "cp", "n_list")
+
+
+def _refuse_unread_bench_flags(args) -> None:
+    """Raise :class:`ConfigError` for a flag given to a bench run that does
+    not read it, instead of ignoring it."""
+    if args.preset:
+        unread, run = _GRID_FLAGS, f"--preset {args.preset}"
+    else:
+        unread = _MIXTURE_FLAGS if args.model == "stable" else _STABLE_FLAGS
+        run = f"--model {args.model}"
+    unread += ("n_list",) if args.kind == "mae" else ("detections_csv",)
+    given = [
+        f"--{dest.replace('_', '-')}"
+        for dest in dict.fromkeys(unread)
+        if dest in args.given
+    ]
+    if given:
+        raise ConfigError(
+            f"bench {args.kind} with {run} does not read {', '.join(given)}"
+        )
+
+
 def _cmd_bench(args) -> int:
+    if not (args.preset or args.model):
+        raise ConfigError("either --preset or --model is required")
+    _refuse_unread_bench_flags(args)
     base_seed = args.base_seed if args.base_seed is not None else _default_seed()
     if args.preset:
         cfg = build_preset(args.preset, base_seed)
@@ -586,8 +615,6 @@ def _cmd_bench(args) -> int:
             for r in report.rows
         )
     else:
-        if args.n_list:
-            cfg = dataclasses.replace(cfg, n_list=_parse_n_list(args.n_list))
         report = bench_mod.run_timing_study(cfg)
         outputs = ((args.output_csv, bench_mod.write_timing_csv),
                    (args.output_json, bench_mod.write_timing_json))
@@ -610,8 +637,6 @@ def _parse_n_list(text: str) -> tuple[int, ...]:
 
 
 def _explicit_bench_config(args, base_seed) -> bench_mod.BenchConfig:
-    if not args.model:
-        raise ConfigError("either --preset or --model is required")
     if args.model == "stable":
         if args.alpha is None or args.gamma2 is None:
             raise ConfigError("stable bench needs --alpha and --gamma2")
@@ -621,6 +646,7 @@ def _explicit_bench_config(args, base_seed) -> bench_mod.BenchConfig:
         grid=(_model_spec(args),),
         methods=bench_mod.default_methods(),
         base_seed=base_seed,
+        n_list=_parse_n_list(args.n_list) if args.n_list else (),
     )
 
 
@@ -634,6 +660,16 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         raise ConfigError(f"{self.prog}: {message}")
+
+
+class _Given(argparse.Action):
+    """Store an option's value, as the default action does, and add its
+    destination to ``given``, so a command can tell a flag that was set
+    from one left at its default."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, values)
+        namespace.given = namespace.given | {self.dest}
 
 
 def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
@@ -688,6 +724,8 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p_sim.set_defaults(func=_cmd_simulate)
 
     p_bench = sub.add_parser("bench", help="run a Monte Carlo study")
+    # every bench option records in args.given that it was set
+    p_bench.register("action", None, _Given)
     p_bench.add_argument("kind", choices=("mae", "timing"))
     p_bench.add_argument("--config", help="flat key=value config file")
     p_bench.add_argument("--preset", choices=_PRESETS)
@@ -707,7 +745,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p_bench.add_argument("--output-csv")
     p_bench.add_argument("--output-json")
     p_bench.add_argument("--detections-csv")
-    p_bench.set_defaults(func=_cmd_bench)
+    p_bench.set_defaults(func=_cmd_bench, given=frozenset())
     return parser, sub.choices
 
 

@@ -189,6 +189,30 @@ def _mad_sorted(keys: list, med: float) -> float:
     return (kth + abs(min(below, above))) / 2.0
 
 
+def _bmid_point(keys: list, arr: np.ndarray, c: float) -> tuple[float, bool]:
+    """C_n of the BMID trace at n = len(keys), from ``keys``, the sorted
+    ``arr[:n]``, and whether the prefix is degenerate (zero MAD, variance 0
+    substituted)."""
+    n = len(keys)
+    med = _median_sorted(keys)
+    mad_val = _mad_sorted(keys, med)
+    degenerate = mad_val == 0.0
+    var = 0.0 if degenerate else _bmid_core(arr[:n], med, mad_val, c)
+    return n * (var + med * med) - var, degenerate
+
+
+def _qcv_point(keys, window: np.ndarray) -> tuple[float, bool]:
+    """C_n of the QCV trace at n = len(keys), from ``keys``, the sorted
+    prefix as a list or an array, and ``window``, its QCV window as an
+    array; and whether the prefix is degenerate (fewer than two points in
+    the window, variance 0 substituted)."""
+    n = len(keys)
+    med = _median_sorted(keys)
+    degenerate = window.size < 2
+    var = 0.0 if degenerate else _window_variance(window)
+    return n * (var + med * med) - var, degenerate
+
+
 def _bmid_prefixes(arr: np.ndarray, c: float, out: np.ndarray) -> list[int]:
     """Fill out[1:] with the BMID trace; return the degenerate prefixes."""
     degenerate = []
@@ -196,14 +220,9 @@ def _bmid_prefixes(arr: np.ndarray, c: float, out: np.ndarray) -> list[int]:
     keys = values[:1]
     for n in range(2, arr.size + 1):
         insort_left(keys, values[n - 1])
-        med = _median_sorted(keys)
-        mad_val = _mad_sorted(keys, med)
-        if mad_val == 0.0:
-            var = 0.0
+        out[n - 1], flat = _bmid_point(keys, arr, c)
+        if flat:
             degenerate.append(n)
-        else:
-            var = _bmid_core(arr[:n], med, mad_val, c)
-        out[n - 1] = n * (var + med * med) - var
     return degenerate
 
 
@@ -224,15 +243,38 @@ def _qcv_prefixes(arr: np.ndarray, bounds: QcvBounds, out: np.ndarray) -> list[i
         keys.insert(pos, x)
         buf[pos + 1 : n] = buf[pos : n - 1]
         buf[pos] = x
-        med = _median_sorted(keys)
-        lo, hi = los[n], his[n]
-        if hi - lo < 2:
-            var = 0.0
+        out[n - 1], flat = _qcv_point(keys, buf[los[n] : his[n]])
+        if flat:
             degenerate.append(n)
-        else:
-            var = _window_variance(buf, lo, hi)
-        out[n - 1] = n * (var + med * med) - var
     return degenerate
+
+
+def _robust_css_at(arr: np.ndarray, spec: ScaleEstimatorSpec, ns) -> np.ndarray:
+    """The robust trace of ``arr`` at the increasing prefix lengths ``ns``
+    (each >= 2), equal bit for bit to ``robust_css(arr, spec).values[ns - 1]``.
+
+    Every point enters the sorted prefix, but the scale is estimated only at
+    those n, by the scans' own per-prefix evaluation.  BMID inserts into a
+    sorted list as its scan does; QCV keeps the sorted prefix as an array
+    and merges each run of new points into it with one stable sort, which
+    finds the two sorted runs, instead of shifting it on every insert.
+    """
+    out = np.empty(len(ns))
+    with np.errstate(over="ignore", invalid="ignore"):  # as in robust_css
+        if spec.kind == KIND_BMID:
+            values = arr.tolist()
+            keys = values[:1]
+            for i, n in enumerate(ns):
+                for x in values[len(keys) : n]:
+                    insort_left(keys, x)
+                out[i] = _bmid_point(keys, arr, spec.bmid_config.c)[0]
+        else:
+            keys = arr[:1]
+            for i, n in enumerate(ns):
+                keys = np.sort(np.concatenate((keys, arr[keys.size : n])), kind="stable")
+                lo, hi = spec.qcv_bounds.window(n)
+                out[i] = _qcv_point(keys, keys[lo:hi])[0]
+    return out
 
 
 def _naive_prefixes(
@@ -307,6 +349,27 @@ def robust_css(
     )
 
 
+def _chord_counts(ns: np.ndarray, values: np.ndarray) -> tuple[int, int]:
+    """Counts of the points (n, C_n) strictly above and strictly below the
+    chord through the first and the last of them.
+
+    Strictly means beyond a tolerance of 1e-12 max|C_n|, so exactly
+    collinear points count to neither side and the counts do not depend on
+    the units of the data.  Over every n from 2 on, the chord positions t
+    are those of ``np.linspace(0, 1, ns.size)``, bit for bit.
+    """
+    t = (ns - ns[0]) * (1.0 / (ns[-1] - ns[0]))
+    t[-1] = 1.0
+    # An overflowed trace gives inf/NaN chord points, which count to
+    # neither side; a detector refuses a non-finite trace (NonFiniteTrace).
+    with np.errstate(over="ignore", invalid="ignore"):
+        chord = values[0] * (1.0 - t) + values[-1] * t
+        tol = 1e-12 * float(np.max(np.abs(values)))
+        above = int(np.sum(values > chord + tol))
+        below = int(np.sum(values < chord - tol))
+    return above, below
+
+
 def detect_orientation(trace: CssTrace) -> Orientation:
     """Classify the trace against the chord through (2, C_2), (N-1, C_{N-1}).
 
@@ -319,17 +382,19 @@ def detect_orientation(trace: CssTrace) -> Orientation:
     n_total = trace.source_length
     if n_total < 4:
         raise InsufficientLength("orientation needs at least 4 points")
-    window = trace.values[1 : n_total - 1]          # n = 2 .. N-1
-    y_first, y_last = window[0], window[-1]
-    t = np.linspace(0.0, 1.0, window.size)
-    # An overflowed trace gives inf/NaN chord points, which count to
-    # neither side; a detector refuses a non-finite trace (NonFiniteTrace).
-    with np.errstate(over="ignore", invalid="ignore"):
-        chord = y_first * (1.0 - t) + y_last * t
-        tol = 1e-12 * float(np.max(np.abs(window)))
-        above = int(np.sum(window > chord + tol))
-        below = int(np.sum(window < chord - tol))
+    above, below = _chord_counts(
+        np.arange(2, n_total), trace.values[1 : n_total - 1]
+    )
     return Orientation.CONCAVE if above > below else Orientation.CONVEX
+
+
+def _check_head_params(head_len: int, threshold: float) -> None:
+    """The constant-prefix check's parameters: ``head_len`` >= 1 and
+    ``threshold`` in [0, 1] (NaN is not)."""
+    if head_len < 1:
+        raise InvalidParameter("head_len must be >= 1")
+    if not 0.0 <= threshold <= 1.0:
+        raise InvalidParameter(f"threshold must be in [0, 1], got {threshold}")
 
 
 def constant_prefix_check(
@@ -337,9 +402,9 @@ def constant_prefix_check(
 ) -> bool:
     """True when the trace head dominates: taking omega as the mean of
     C_n over n = 2..head_len+1, the fraction of n in {2..N-1} with
-    C_n > omega stays below ``threshold``."""
-    if head_len < 1:
-        raise InvalidParameter("head_len must be >= 1")
+    C_n > omega stays below ``threshold``.  A ``head_len`` below 1 or a
+    ``threshold`` outside [0, 1] raises :class:`InvalidParameter`."""
+    _check_head_params(head_len, threshold)
     n_total = trace.source_length
     if n_total < head_len + 2:
         raise InsufficientLength(

@@ -17,6 +17,9 @@ from .css import (
     CssTrace,
     Orientation,
     ScaleEstimatorSpec,
+    _check_head_params,
+    _chord_counts,
+    _robust_css_at,
     classical_css,
     constant_prefix_check,
     detect_orientation,
@@ -189,12 +192,14 @@ def _prefix_blocks(c: np.ndarray):
 def _fast_scan(c: np.ndarray, s: np.ndarray) -> None:
     """Write the combined SSR of every candidate n = 2..N-2 into
     ``s[n - 1]`` from prefix sums, in two passes over blocks of the trace:
-    the first finds the totals, the second the statistic."""
+    the first finds the totals, the second the statistic.  A trace of one
+    block is summed once, and both passes read that block."""
     n_total = c.shape[0]
-    for *_, p1, pj, p2 in _prefix_blocks(c):
+    one_block = list(_prefix_blocks(c)) if n_total <= OLS_BLOCK_ROWS else None
+    for *_, p1, pj, p2 in one_block or _prefix_blocks(c):
         pass
     t1, tj, t2 = p1[-1], pj[-1], p2[-1]
-    for lo, j, p1, pj, p2 in _prefix_blocks(c):
+    for lo, j, p1, pj, p2 in one_block or _prefix_blocks(c):
         # candidates n = 2..N-2 sit at rows 1..N-3; the left line fits
         # j = 1..n about its mean (n + 1)/2, the right one j = n+1..N about
         # (n + 1 + N)/2
@@ -269,6 +274,27 @@ def _refit_ssr(x: np.ndarray, y: np.ndarray) -> float:
     return float(np.sum(resid * resid))
 
 
+# A robust spec takes its orientation vote on the forward trace at every
+# ORIENT_STRIDE-th prefix, n = 2, 2 + k, ... and N - 1.  Each C_n depends
+# only on its own prefix, so that pass inserts every point into the sorted
+# prefix but estimates the scale at about N / k of them.
+ORIENT_STRIDE = 16
+# When that vote's margin, |above - below| over its interior points, falls
+# below this, orient builds the full forward trace and votes on all of it.
+ORIENT_MIN_MARGIN = 0.5
+
+
+def _strided_vote(arr: np.ndarray, spec: ScaleEstimatorSpec) -> tuple[bool, float]:
+    """Whether the forward robust trace is convex by the chord vote at
+    n = 2, 2 + ORIENT_STRIDE, ... and N - 1, and that vote's margin (0 when
+    it has no interior point)."""
+    ns = np.append(np.arange(2, arr.size - 1, ORIENT_STRIDE), arr.size - 1)
+    above, below = _chord_counts(ns, _robust_css_at(arr, spec, ns.tolist()))
+    votes = ns.size - 2
+    # ties resolve to convex, as in detect_orientation
+    return above <= below, abs(above - below) / votes if votes else 0.0
+
+
 def orient(
     values,
     spec: ScaleEstimatorSpec | None = None,
@@ -282,38 +308,52 @@ def orient(
     ``orientation`` is ``"auto"`` (on for robust specs, off for the
     classical one), ``"on"`` or ``"off"``; any other value raises
     :class:`InvalidParameter`.  With orientation on, the sample is reversed
-    when its trace is convex (scale increases make the robust trace bend
-    below its chord), unless the reversed trace has the constant-head
+    when its forward trace is convex (scale increases make the robust trace
+    bend below its chord), unless the reversed trace has the constant-head
     signature (:func:`constant_prefix_check` with ``head_len`` and
-    ``threshold``); the classical spec then runs the same test on
-    :func:`classical_css`.  The test needs at least max(8, head_len + 2)
-    points, checked before any trace is built.  With orientation off, the
+    ``threshold``).  The test needs at least max(8, head_len + 2) points,
+    checked before any trace is built.  With orientation off, the
     classical spec gives :func:`classical_css` and a robust spec its
-    forward trace.  ``head_len`` below 1 raises :class:`InvalidParameter`
-    on every call.
+    forward trace.  A ``head_len`` below 1 or a ``threshold`` that is NaN
+    or outside [0, 1] raises :class:`InvalidParameter` on every call.
 
-    Builds one trace, or two when the forward trace is convex.  Any number
-    of detectors can then run on the result with :func:`detect_oriented`.
+    The classical spec votes on all of :func:`classical_css`, one cumsum.
+    A robust spec votes on its forward trace at every ``ORIENT_STRIDE``-th
+    prefix (16) plus N - 1, which costs N insertions into the sorted
+    prefix and about N / 16 scale estimates.  A convex vote then builds
+    only the reversed trace; a concave one, or a constant-prefix fallback,
+    builds the forward trace.  When the strided vote's margin is below
+    ``ORIENT_MIN_MARGIN`` (0.5), the full forward trace is built and its
+    full vote decides.  So a robust ``orient`` builds about one trace, and
+    two only after a close vote that reverses or a constant-prefix
+    fallback.  Any number of detectors can then run on the result with
+    :func:`detect_oriented`.
     """
     spec = spec if spec is not None else ScaleEstimatorSpec.bmid()
     if orientation not in ORIENTATIONS:
         raise InvalidParameter(
             f"orientation must be one of {ORIENTATIONS}, got {orientation!r}"
         )
-    if head_len < 1:
-        raise InvalidParameter("head_len must be >= 1")
+    _check_head_params(head_len, threshold)
     if orientation == "off" or (orientation == "auto" and not spec.is_robust):
         if not spec.is_robust:
             return OrientedTrace(classical_css(values))
         return OrientedTrace(robust_css(values, spec))
     arr = _as_sample(values, min_len=max(8, head_len + 2), what="series")
-    trace = robust_css(arr, spec)
-    if detect_orientation(trace) is Orientation.CONVEX:
+    # the classical trace is one cumsum, so it always takes the full vote
+    convex, margin = _strided_vote(arr, spec) if spec.is_robust else (True, 0.0)
+    forward = None
+    if margin < ORIENT_MIN_MARGIN:
+        forward = robust_css(arr, spec)
+        convex = detect_orientation(forward) is Orientation.CONVEX
+    if convex:
         rev = robust_css(reverse_sample(arr), spec)
-        if constant_prefix_check(rev, head_len=head_len, threshold=threshold):
-            return OrientedTrace(trace, constant_prefix_fallback=True)
-        return OrientedTrace(rev, reversed_applied=True)
-    return OrientedTrace(trace)
+        if not constant_prefix_check(rev, head_len=head_len, threshold=threshold):
+            return OrientedTrace(rev, reversed_applied=True)
+    if forward is None:
+        forward = robust_css(arr, spec)
+    # here a convex trace is one whose reversal failed the prefix check
+    return OrientedTrace(forward, constant_prefix_fallback=convex)
 
 
 def _detector(method: str):

@@ -118,15 +118,16 @@ def _bmid_core(values: np.ndarray, med: float, mad_val: float, c: float) -> floa
     d = dev[inside]
     u2 = u2[inside]
     w = 1.0 - u2
-    num = values.size * _add(d * d * w ** 4)
+    w2 = w * w  # two squarings: w ** 4 would call pow
+    num = values.size * _add(d * d * (w2 * w2))
     den = _add(w * (1.0 - 5.0 * u2)) ** 2
     return float(num / den)
 
 
-def _window_variance(sorted_values: np.ndarray, lo: int, hi: int) -> float:
-    """Mean squared deviation over sorted_values[lo:hi] (QCV inner kernel)."""
-    w = sorted_values[lo:hi]
-    m = hi - lo
+def _window_variance(w: np.ndarray) -> float:
+    """Mean squared deviation over the QCV window ``w``, a run of sorted
+    order statistics (QCV inner kernel)."""
+    m = w.size
     d = w - _add(w) / m
     return float(_add(d * d) / m)
 
@@ -189,4 +190,4 @@ def qcv_variance(values, bounds: QcvBounds | None = None) -> float:
             f"QCV window [{b.a}, {b.b}] keeps {hi - lo} of {arr.size} points; "
             "need at least 2"
         )
-    return _window_variance(np.sort(arr), lo, hi)
+    return _window_variance(np.sort(arr)[lo:hi])

@@ -3,20 +3,24 @@ import collections
 
 import pytest
 
-import scaleshift.detect
-from scaleshift.css import robust_css
+import scaleshift.css
 
 
 @pytest.fixture()
-def robust_scans(monkeypatch):
-    """Counter of robust CSS scans by estimator kind, counting every call
-    the package makes: only :mod:`scaleshift.detect` looks up
-    ``robust_css``."""
+def prefix_estimates(monkeypatch):
+    """Counter of robust prefix estimates by estimator kind: the calls of
+    the per-prefix evaluation that the BMID and QCV scans and the strided
+    orientation pass share, degenerate prefixes included."""
     counts = collections.Counter()
 
-    def counting(values, spec, **kwargs):
-        counts[spec.kind] += 1
-        return robust_css(values, spec, **kwargs)
+    def counting(kind, point):
+        def wrapper(*args):
+            counts[kind] += 1
+            return point(*args)
+        return wrapper
 
-    monkeypatch.setattr(scaleshift.detect, "robust_css", counting)
+    for kind, name in (("bmid", "_bmid_point"), ("qcv", "_qcv_point")):
+        monkeypatch.setattr(
+            scaleshift.css, name, counting(kind, getattr(scaleshift.css, name))
+        )
     return counts

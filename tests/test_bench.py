@@ -38,6 +38,7 @@ from scaleshift import (
     write_timing_csv,
     write_timing_json,
 )
+from scaleshift.detect import ORIENT_STRIDE
 
 
 def _small_cfg(methods=None, trials=4):
@@ -261,17 +262,22 @@ class TestSharedRobustTrace:
 
     ROBUST = tuple(m for m in default_methods() if m.estimator.is_robust)
 
-    def test_at_most_two_scans_per_trial_and_estimator(self, robust_scans):
-        # a scale increase: every trial takes the reversal (two scans)
+    def test_one_trace_per_trial_and_estimator(self, prefix_estimates):
+        # a scale increase: every trial takes the reversal, after the
+        # strided vote, and both detectors scan that one reversed trace
+        n = 200
         cfg = BenchConfig(
-            grid=(MixtureSpec(omega2=5.0, nu=25.0, p=0.05, N=200),),
+            grid=(MixtureSpec(omega2=5.0, nu=25.0, p=0.05, N=n),),
             methods=self.ROBUST,
             trials=3,
             base_seed=1,
         )
-        run_mae_study(cfg)
-        assert set(robust_scans) == {"bmid", "qcv"}
-        assert all(count <= 2 * cfg.trials for count in robust_scans.values())
+        report = run_mae_study(cfg)
+        assert not any(row.failures for row in report.rows)
+        one_trace = (n - 1) + math.ceil((n - 3) / ORIENT_STRIDE) + 1
+        assert prefix_estimates == {
+            "bmid": cfg.trials * one_trace, "qcv": cfg.trials * one_trace
+        }
 
     @pytest.mark.parametrize("n", [60, 7])
     def test_outcomes_equal_per_method_detection(self, n):

@@ -51,6 +51,7 @@ from scaleshift.cli import (
     parse_preprocess_spec,
     preprocess,
 )
+from scaleshift.detect import ORIENT_STRIDE
 
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -730,7 +731,9 @@ class TestDetectCommand:
 
 class TestDetectScanCount:
     """``--trace-csv`` writes the trace the detector scanned; it costs no
-    extra robust scan."""
+    extra robust scan.  Either orientation builds one full trace, with its
+    N - 1 prefix estimates, after the strided orientation vote's
+    ceil((N - 3) / ORIENT_STRIDE) + 1."""
 
     def _detect(self, name, tmp_path):
         trace_path = tmp_path / "trace.csv"
@@ -741,15 +744,20 @@ class TestDetectScanCount:
             rows = list(csv.reader(fh))[1:]
         return rows
 
-    def test_reversed_detection_scans_twice(self, robust_scans, tmp_path, capsys):
-        self._detect("stable_up.csv", tmp_path)
-        assert json.loads(capsys.readouterr().out)["reversed_applied"] is True
-        assert sum(robust_scans.values()) == 2
+    @staticmethod
+    def _one_scan(rows):
+        n = len(rows)
+        return (n - 1) + math.ceil((n - 3) / ORIENT_STRIDE) + 1
 
-    def test_forward_detection_scans_once(self, robust_scans, tmp_path, capsys):
-        self._detect("stable_down.csv", tmp_path)
+    def test_reversed_detection_scans_once(self, prefix_estimates, tmp_path, capsys):
+        rows = self._detect("stable_up.csv", tmp_path)
+        assert json.loads(capsys.readouterr().out)["reversed_applied"] is True
+        assert prefix_estimates == {"bmid": self._one_scan(rows)}
+
+    def test_forward_detection_scans_once(self, prefix_estimates, tmp_path, capsys):
+        rows = self._detect("stable_down.csv", tmp_path)
         assert json.loads(capsys.readouterr().out)["reversed_applied"] is False
-        assert sum(robust_scans.values()) == 1
+        assert prefix_estimates == {"bmid": self._one_scan(rows)}
 
     def test_trace_rows_are_the_oriented_scan(self, tmp_path, capsys):
         rows = self._detect("stable_up.csv", tmp_path)
@@ -1213,6 +1221,46 @@ class TestBenchCommand:
             beta = line.partition(": ")[2]
             assert beta.startswith("beta=") and math.isfinite(float(beta[5:]))
 
+    _MIXTURE = ["--model", "mixture", "--omega2", "5", "--nu", "15", "--p", "0.05"]
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["timing", *_MIXTURE, "--n-list", "20,40,80,160,320",
+              "--detections-csv", "{tmp}/det.csv"],
+             "bench timing with --model mixture does not read --detections-csv"),
+            (["mae", "--preset", "stable-desk", "--model", "mixture",
+              "--omega2", "7", "--n", "50", "--n-list", "1,2"],
+             "bench mae with --preset stable-desk does not read "
+             "--model, --omega2, --n, --n-list"),
+            (["timing", "--preset", "timing-desk", "--n-list", "100,200,400",
+              "--cp", "50"],
+             "bench timing with --preset timing-desk does not read --cp, --n-list"),
+            (["mae", "--model", "stable", "--alpha", "2", "--gamma2", "3",
+              "--nu", "4"],
+             "bench mae with --model stable does not read --nu"),
+            (["mae", *_MIXTURE, "--gamma1", "1.0"],
+             "bench mae with --model mixture does not read --gamma1"),
+            (["mae", *_MIXTURE, "--n-list", "5,6"],
+             "bench mae with --model mixture does not read --n-list"),
+        ],
+        ids=["detections-csv", "preset-model", "preset-n-list", "stable-nu",
+             "mixture-gamma1", "mae-n-list"],
+    )
+    def test_unread_flag_refused(self, argv, message, tmp_path, capsys):
+        argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
+        rc = main(["bench", *argv])
+        assert _assert_error_contract(rc, capsys, "ConfigError") == message
+        assert list(tmp_path.iterdir()) == []
+
+    def test_unread_flag_from_config_refused(self, tmp_path, capsys):
+        cfg = tmp_path / "bench.cfg"
+        cfg.write_text("detections-csv = det.csv\n")
+        rc = main(["bench", "timing", "--config", str(cfg), *self._MIXTURE,
+                   "--n-list", "20,40,80,160,320"])
+        message = _assert_error_contract(rc, capsys, "ConfigError")
+        assert message.endswith("does not read --detections-csv")
+
     @pytest.mark.parametrize(
         "argv, message",
         [
@@ -1312,19 +1360,30 @@ class TestErrorBranchContracts:
 
 
 class TestHeadLenChecked:
-    """``--head-len`` is checked before any scan, whichever way the trace
-    bends: stable_up's forward trace is convex, stable_down's concave."""
+    """``--head-len`` and ``--prefix-threshold`` are checked before any
+    scan, whichever way the trace bends: stable_up's forward trace is
+    convex, stable_down's concave."""
 
     @pytest.mark.parametrize("name", ["stable_up.csv", "stable_down.csv"])
     @pytest.mark.parametrize(
         "head_len, error",
         [("0", "InvalidParameter"), ("999", "InsufficientLength")],
     )
-    def test_out_of_range(self, name, head_len, error, robust_scans, capsys):
+    def test_out_of_range(self, name, head_len, error, prefix_estimates, capsys):
         rc = main(["detect", "--input", str(FIXTURES / name), "--column", "2",
                    "--head-len", head_len])
         _assert_error_contract(rc, capsys, error)
-        assert not robust_scans
+        assert not prefix_estimates
+
+    @pytest.mark.parametrize("name", ["stable_up.csv", "stable_down.csv"])
+    @pytest.mark.parametrize("threshold", ["nan", "-1.0", "1.5"])
+    def test_prefix_threshold_out_of_range(self, name, threshold, prefix_estimates,
+                                           capsys):
+        rc = main(["detect", "--input", str(FIXTURES / name), "--column", "2",
+                   "--prefix-threshold", threshold])
+        message = _assert_error_contract(rc, capsys, "InvalidParameter")
+        assert message == f"threshold must be in [0, 1], got {float(threshold)}"
+        assert not prefix_estimates
 
 
 class TestLibraryDefaults:

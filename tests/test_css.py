@@ -16,6 +16,8 @@ from scaleshift import (
     reverse_sample,
     robust_css,
 )
+from scaleshift.css import _chord_counts, _robust_css_at
+from scaleshift.detect import ORIENT_STRIDE
 from scaleshift.estimators import QcvBounds
 from scaleshift.simulate import StableSpec, gen_stable_series, make_rng
 
@@ -182,6 +184,34 @@ class TestScanMatchesOracle:
             slow = robust_css(x, spec, exact_naive=True)
         assert fast.values.tobytes() == slow.values.tobytes()
         assert fast.degenerate_prefixes == slow.degenerate_prefixes
+
+
+class TestStridedTrace:
+    """The strided orientation pass gives the scan's own C_n, bit for bit,
+    at every prefix it evaluates, on the scan's edge cases too."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(_scan_cases(), st.sampled_from([1, 2, 7, ORIENT_STRIDE, 64]))
+    def test_values_equal_the_scan(self, case, stride):
+        x, spec = case
+        n = x.size
+        # the orientation vote's prefixes: 2, 2 + k, ... and N - 1
+        ns = np.append(np.arange(2, n - 1, stride), n - 1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            full = robust_css(x, spec).values
+        strided = _robust_css_at(x, spec, ns.tolist())
+        assert strided.tobytes() == full[ns - 1].tobytes()
+
+    def test_every_prefix_counts_as_linspace_chord(self):
+        # over every n from 2 to N - 1 the helper's chord is the one through
+        # np.linspace positions: each interior point sits exactly on that
+        # chord's tolerance band, where one ulp of a position moves a count
+        for n in range(4, 300):
+            t = np.linspace(0.0, 1.0, n - 2)
+            w = 1.0 * (1.0 - t) + 1000.0 * t
+            tol = 1e-12 * 1000.0
+            w[1:-1] += np.where(np.arange(1, n - 3) % 2, tol, -tol)
+            assert _chord_counts(np.arange(2, n), w) == (0, 0), n
 
 
 class TestDetectOrientation:

@@ -31,7 +31,7 @@ from scaleshift import (
     reverse_sample,
     robust_css,
 )
-from scaleshift.simulate import StableSpec, gen_stable_series, make_rng
+from scaleshift.simulate import StableSpec, _stable_draws, gen_stable_series, make_rng
 
 # Hand-computed ICSS statistic for [1,1,1,10,10,10]:
 # C = [1,2,3,103,203,303], S_n = C_n/303 - n/6
@@ -496,7 +496,7 @@ class TestOrientationChoice:
         with pytest.raises(InsufficientLength):
             orient(x, ScaleEstimatorSpec.classical(), orientation="on")
 
-    def test_head_len_checked_before_any_scan(self, robust_scans):
+    def test_head_len_checked_before_any_scan(self, prefix_estimates):
         x = _two_regime_gaussian(n=300, cp=150)
         for orientation in ("auto", "on", "off"):
             with pytest.raises(InvalidParameter):
@@ -509,13 +509,108 @@ class TestOrientationChoice:
             with pytest.raises(InsufficientLength):
                 orient(x, ScaleEstimatorSpec.classical(), orientation="on",
                        head_len=x.size - 1)
-        assert not robust_scans
+        assert not prefix_estimates
         assert orient(x, head_len=x.size - 2).trace.source_length == x.size
+
+    @pytest.mark.parametrize("threshold", [math.nan, -1.0, -1e-300, 1.5])
+    def test_threshold_checked_before_any_scan(self, threshold, prefix_estimates):
+        # a NaN or negative threshold would turn the constant-prefix
+        # fallback off: eps < threshold is then always false
+        for sigma2 in (3.0, 1 / 3):
+            x = _two_regime_gaussian(n=300, cp=150, sigma2=sigma2)
+            for spec in (ScaleEstimatorSpec.bmid(), ScaleEstimatorSpec.classical()):
+                for orientation in ("auto", "on", "off"):
+                    with pytest.raises(InvalidParameter, match="threshold"):
+                        orient(x, spec, orientation=orientation, threshold=threshold)
+        assert not prefix_estimates
+
+    @pytest.mark.parametrize("threshold", [0.0, 1.0])
+    def test_threshold_bounds_are_accepted(self, threshold):
+        x = _spiky_tail()
+        o = orient(x, threshold=threshold)
+        # eps < 0 never holds; eps < 1 holds on this spiky tail
+        assert o.constant_prefix_fallback is (threshold == 1.0)
 
     def test_unknown_orientation_rejected(self):
         x = _two_regime_gaussian(n=100, cp=50)
         with pytest.raises(InvalidParameter):
             orient(x, orientation="sideways")
+
+
+def _strided_estimates(n):
+    """Prefix estimates of the strided vote on an N-point series."""
+    return math.ceil((n - 3) / detect_module.ORIENT_STRIDE) + 1
+
+
+class TestStridedVote:
+    """A robust spec votes on every ORIENT_STRIDE-th prefix of its forward
+    trace and builds only the trace it keeps, unless the vote is close."""
+
+    def test_reversal_builds_no_forward_trace(self, prefix_estimates):
+        series, _ = gen_stable_series(
+            StableSpec(alpha=1.8, gamma2=2.0, N=400, cp=200, seed=14)
+        )
+        o = orient(series, ScaleEstimatorSpec.qcv())
+        assert o.reversed_applied
+        assert prefix_estimates == {"qcv": _strided_estimates(400) + 399}
+
+    def test_fallback_builds_both_traces(self, prefix_estimates):
+        o = orient(_spiky_tail())
+        assert o.constant_prefix_fallback
+        assert prefix_estimates == {"bmid": _strided_estimates(300) + 2 * 299}
+
+    @pytest.mark.parametrize("n", [8, 12, 18])
+    def test_no_interior_vote_takes_the_full_vote(self, n, prefix_estimates):
+        # n <= ORIENT_STRIDE + 3: only the chord's end points are strided
+        spec = ScaleEstimatorSpec.bmid()
+        for seed in range(6):
+            x = _two_regime_gaussian(seed=seed, n=n, cp=n // 2)
+            convex = detect_orientation(robust_css(x, spec)) is Orientation.CONVEX
+            prefix_estimates.clear()
+            o = orient(x, spec)
+            assert (o.reversed_applied or o.constant_prefix_fallback) == convex
+            assert prefix_estimates["bmid"] == 2 + (n - 1) * (1 + convex)
+
+    @pytest.mark.parametrize("spec", [ScaleEstimatorSpec.bmid(), ScaleEstimatorSpec.qcv()],
+                             ids=["bmid", "qcv"])
+    def test_margin_bound_sends_every_vote_to_the_full_trace(
+        self, spec, prefix_estimates, monkeypatch
+    ):
+        # no margin reaches 1.01, so each call votes as the full trace does
+        monkeypatch.setattr(detect_module, "ORIENT_MIN_MARGIN", 1.01)
+        for sigma2 in (3.0, 1 / 3):
+            prefix_estimates.clear()
+            x = _two_regime_gaussian(n=300, cp=150, sigma2=sigma2)
+            o = orient(x, spec)
+            assert o.reversed_applied == (sigma2 > 1.0)
+            assert prefix_estimates[spec.kind] == (
+                _strided_estimates(300) + 299 * (1 + o.reversed_applied)
+            )
+
+    @pytest.mark.parametrize("n", [100, 200, 1000])
+    def test_decision_matches_the_full_vote(self, n):
+        """orient decides as the full forward vote does on 200 changed
+        series (stable, scale x3 or /3 at N/2), with BMID and with QCV.  On
+        200 null series (iid stable) the strided vote is a sample of a vote
+        that has no change to find; at most 1 % of those decisions differ.
+        """
+        differ = {"changed": 0, "null": 0}
+        for i in range(400):
+            alpha = (1.1, 1.5, 2.0)[i % 3]
+            if i < 200:
+                x, _ = gen_stable_series(StableSpec(
+                    alpha=alpha, gamma2=(3.0, 1 / 3)[i % 2], N=n, seed=i))
+            else:
+                x = _stable_draws(alpha, 1.0, n, make_rng((n, i)))
+            for spec in (ScaleEstimatorSpec.bmid(), ScaleEstimatorSpec.qcv()):
+                o = orient(x, spec)
+                convex = o.reversed_applied or o.constant_prefix_fallback
+                full = robust_css(x, spec) if convex else o.trace
+                if convex != (detect_orientation(full) is Orientation.CONVEX):
+                    differ["changed" if i < 200 else "null"] += 1
+        print(f"N={n}: decisions that differ from the full vote: {differ}")
+        assert differ["changed"] == 0
+        assert differ["null"] <= 4
 
 
 class TestScaleEquivariance:
