@@ -417,7 +417,13 @@ def _load_config_args(path, options) -> list[str]:
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}") from None
     with fh:
-        for lineno, raw in enumerate(fh, start=1):
+        try:
+            lines = fh.readlines()
+        except UnicodeDecodeError as exc:
+            raise ConfigError(
+                f"config file {path} is not {fh.encoding} text: {exc.reason}"
+            ) from None
+        for lineno, raw in enumerate(lines, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue

@@ -14,12 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    DegenerateScale,
-    InsufficientLength,
-    InvalidParameter,
-    WindowTooSmall,
-)
+from .errors import InsufficientLength, InvalidParameter
 from .estimators import (
     BmidConfig,
     QcvBounds,
@@ -27,9 +22,6 @@ from .estimators import (
     _bmid_core,
     _median_sorted,
     _window_variance,
-    bmid_variance,
-    qcv_variance,
-    sample_median,
 )
 
 __all__ = [
@@ -213,134 +205,85 @@ def _qcv_point(keys, window: np.ndarray) -> tuple[float, bool]:
     return n * (var + med * med) - var, degenerate
 
 
-def _bmid_prefixes(arr: np.ndarray, c: float, out: np.ndarray) -> list[int]:
-    """Fill out[1:] with the BMID trace; return the degenerate prefixes."""
-    degenerate = []
-    values = arr.tolist()
-    keys = values[:1]
-    for n in range(2, arr.size + 1):
-        insort_left(keys, values[n - 1])
-        out[n - 1], flat = _bmid_point(keys, arr, c)
-        if flat:
-            degenerate.append(n)
-    return degenerate
+def _robust_scan(
+    arr: np.ndarray, spec: ScaleEstimatorSpec, ns
+) -> tuple[np.ndarray, list[int]]:
+    """C_n of the robust trace of ``arr`` at the increasing prefix lengths
+    ``ns`` (each >= 2), and those n whose prefix is degenerate.
 
-
-def _qcv_prefixes(arr: np.ndarray, bounds: QcvBounds, out: np.ndarray) -> list[int]:
-    """Fill out[1:] with the QCV trace; return the degenerate prefixes."""
-    degenerate = []
-    # QcvBounds.window(n) for every n: the same IEEE products n * a, n * b
-    sizes = np.arange(arr.size + 1)
-    los = np.floor(sizes * bounds.a).astype(int).tolist()
-    his = np.floor(sizes * bounds.b).astype(int).tolist()
-    values = arr.tolist()
-    keys = values[:1]
-    buf = np.empty(arr.size)  # the sorted prefix, for contiguous windows
-    buf[0] = values[0]
-    for n in range(2, arr.size + 1):
-        x = values[n - 1]
-        pos = bisect_left(keys, x)
-        keys.insert(pos, x)
-        buf[pos + 1 : n] = buf[pos : n - 1]
-        buf[pos] = x
-        out[n - 1], flat = _qcv_point(keys, buf[los[n] : his[n]])
-        if flat:
-            degenerate.append(n)
-    return degenerate
-
-
-def _robust_css_at(arr: np.ndarray, spec: ScaleEstimatorSpec, ns) -> np.ndarray:
-    """The robust trace of ``arr`` at the increasing prefix lengths ``ns``
-    (each >= 2), equal bit for bit to ``robust_css(arr, spec).values[ns - 1]``.
-
-    Every point enters the sorted prefix, but the scale is estimated only at
-    those n, by the scans' own per-prefix evaluation.  BMID inserts into a
-    sorted list as its scan does; QCV keeps the sorted prefix as an array
-    and merges each run of new points into it with one stable sort, which
-    finds the two sorted runs, instead of shifting it on every insert.
+    Every point enters the sorted prefix, but the scale is estimated only
+    at the n in ``ns``, by :func:`_bmid_point` or :func:`_qcv_point`.  BMID
+    inserts into a sorted list.  QCV also keeps the sorted prefix in an
+    array, whose windows are contiguous slices: when ``ns`` is every n from
+    2 on, each point is bisected into the list and shifted into the array;
+    when the lengths are spaced, ``buf[:n]`` of a copy of the series is
+    sorted in place, and the stable sort merges the new points into the
+    sorted run before them.  Both give the same C_n bit for bit.
     """
     out = np.empty(len(ns))
-    with np.errstate(over="ignore", invalid="ignore"):  # as in robust_css
-        if spec.kind == KIND_BMID:
-            values = arr.tolist()
-            keys = values[:1]
-            for i, n in enumerate(ns):
-                for x in values[len(keys) : n]:
-                    insort_left(keys, x)
-                out[i] = _bmid_point(keys, arr, spec.bmid_config.c)[0]
-        else:
-            keys = arr[:1]
-            for i, n in enumerate(ns):
-                keys = np.sort(np.concatenate((keys, arr[keys.size : n])), kind="stable")
-                lo, hi = spec.qcv_bounds.window(n)
-                out[i] = _qcv_point(keys, keys[lo:hi])[0]
-    return out
-
-
-def _naive_prefixes(
-    arr: np.ndarray, spec: ScaleEstimatorSpec, out: np.ndarray
-) -> list[int]:
-    """Fill out[1:] by recomputing the median and the robust scale of every
-    prefix from scratch through the public estimators; return the
-    degenerate prefixes."""
     degenerate = []
-    for n in range(2, arr.size + 1):
-        prefix = arr[:n]
-        med = sample_median(prefix)
-        try:
-            if spec.kind == KIND_BMID:
-                var = bmid_variance(prefix, spec.bmid_config)
-            else:
-                var = qcv_variance(prefix, spec.qcv_bounds)
-        except (DegenerateScale, WindowTooSmall):
-            var = 0.0
-            degenerate.append(n)
-        out[n - 1] = n * (var + med * med) - var
-    return degenerate
-
-
-def robust_css(
-    values,
-    spec: ScaleEstimatorSpec,
-    *,
-    exact_naive: bool = False,
-) -> CssTrace:
-    """Robust CSS trace: per prefix n >= 2, n*(var_r + med^2) - var_r.
-
-    The n = 1 entry is x_1^2 (single-point variance taken as zero), keeping
-    the trace length N and matching the classical trace at n = 1.  Prefixes
-    with an undefined robust variance get variance 0 substituted and are
-    recorded in ``degenerate_prefixes``.
-
-    A classical spec gives :func:`classical_css`, the running sum of
-    squares that the identity reduces to with the mean and the sample
-    variance, whatever ``exact_naive`` says.
-
-    For a robust spec the default scan keeps the prefix in a sorted list
-    (binary-search insert) and calls the estimators' own median, BMID and
-    QCV kernels on it; only the selections are incremental.  The MAD is
-    picked from the V-shaped |x - med| (:func:`_mad_sorted`), and QCV
-    windows are contiguous slices of a numpy copy of the sorted prefix.
-    ``exact_naive=True`` recomputes every prefix from scratch through the
-    public estimators; it is the equivalence oracle for the default scan,
-    which matches it bit for bit.
-    """
-    arr = _as_sample(values, min_len=3, what="series")
-    if spec.kind == KIND_CLASSICAL:
-        return classical_css(arr)
-    out = np.empty(arr.size)
+    values = arr.tolist()
+    keys = values[:1]
+    if spec.kind == KIND_QCV:
+        # QcvBounds.window(n) at every n: the same IEEE products n * a, n * b
+        sizes = np.asarray(ns)
+        los = np.floor(sizes * spec.qcv_bounds.a).astype(int).tolist()
+        his = np.floor(sizes * spec.qcv_bounds.b).astype(int).tolist()
+        buf = arr.copy()
+        dense = len(ns) == ns[-1] - 1
     # Squares past the float range become inf, and sums of such values
     # NaN, which NonFiniteTrace reports; a MAD near the underflow limit
     # sends |u| to inf, which lies outside the BMID weights |u| < 1 as it
     # should.  One errstate per scan, not per prefix.
     with np.errstate(over="ignore", invalid="ignore"):
-        out[0] = arr[0] * arr[0]
-        if exact_naive:
-            degenerate = _naive_prefixes(arr, spec, out)
-        elif spec.kind == KIND_BMID:
-            degenerate = _bmid_prefixes(arr, spec.bmid_config.c, out)
-        else:
-            degenerate = _qcv_prefixes(arr, spec.qcv_bounds, out)
+        for i, n in enumerate(ns):
+            if spec.kind == KIND_BMID:
+                for x in values[len(keys) : n]:
+                    insort_left(keys, x)
+                out[i], flat = _bmid_point(keys, arr, spec.bmid_config.c)
+            elif dense:
+                x = values[n - 1]
+                pos = bisect_left(keys, x)
+                keys.insert(pos, x)
+                buf[pos + 1 : n] = buf[pos : n - 1]
+                buf[pos] = x
+                out[i], flat = _qcv_point(keys, buf[los[i] : his[i]])
+            else:
+                buf[:n].sort(kind="stable")
+                out[i], flat = _qcv_point(buf[:n], buf[los[i] : his[i]])
+            if flat:
+                degenerate.append(n)
+    return out, degenerate
+
+
+def robust_css(values, spec: ScaleEstimatorSpec) -> CssTrace:
+    """Robust CSS trace: per prefix n >= 2, n*(var_r + med^2) - var_r.
+
+    The n = 1 entry is x_1^2 (single-point variance taken as zero), keeping
+    the trace length N and matching the classical trace at n = 1.  Prefixes
+    with an undefined robust variance (zero MAD, or a QCV window with fewer
+    than two points) get variance 0 substituted and are recorded in
+    ``degenerate_prefixes``.
+
+    A classical spec gives :func:`classical_css`, the running sum of
+    squares that the identity reduces to with the mean and the sample
+    variance.
+
+    For a robust spec the scan keeps the prefix sorted (binary-search
+    insert) and calls the estimators' own median, BMID and QCV kernels on
+    it; only the selections are incremental.  The MAD is picked from the
+    V-shaped |x - med| (:func:`_mad_sorted`), and QCV windows are
+    contiguous slices of a numpy copy of the sorted prefix.  It matches a
+    from-scratch recomputation of every prefix through the public
+    estimators bit for bit.
+    """
+    arr = _as_sample(values, min_len=3, what="series")
+    if spec.kind == KIND_CLASSICAL:
+        return classical_css(arr)
+    out = np.empty(arr.size)
+    x1 = float(arr[0])
+    out[0] = x1 * x1  # a Python float product overflows to inf quietly
+    out[1:], degenerate = _robust_scan(arr, spec, range(2, arr.size + 1))
     return CssTrace(
         values=out,
         estimator=spec,

@@ -19,7 +19,7 @@ from .css import (
     ScaleEstimatorSpec,
     _check_head_params,
     _chord_counts,
-    _robust_css_at,
+    _robust_scan,
     classical_css,
     constant_prefix_check,
     detect_orientation,
@@ -218,7 +218,7 @@ def _fast_scan(c: np.ndarray, s: np.ndarray) -> None:
         s[lo + k.start : lo + k.stop] = left + right
 
 
-def ols_detect(trace: CssTrace, *, exact_refit: bool = False) -> DetectionResult:
+def ols_detect(trace: CssTrace) -> DetectionResult:
     """Argmin over candidates n in {2..N-2} of the combined SSR of two line
     fits to (j, C_j), j = 1..n and j = n+1..N.
 
@@ -226,11 +226,10 @@ def ols_detect(trace: CssTrace, *, exact_refit: bool = False) -> DetectionResult
     end-point chord from the trace (residuals are invariant under subtracting
     any fixed line, and the conditioning improves enormously).  It runs over
     blocks of ``OLS_BLOCK_ROWS`` rows, so besides the N-long statistic it
-    holds only block-sized arrays.  With ``exact_refit=True`` every
-    candidate is refit from scratch — the oracle for the fast path.
-    Entries of ``statistic_trace`` outside the candidate range are NaN.
-    When either path overflows (a finite trace near the float limit whose
-    detrended squares do not fit) it raises :class:`NonFiniteTrace`.
+    holds only block-sized arrays.  Entries of ``statistic_trace`` outside
+    the candidate range are NaN.  When the scan overflows (a finite trace
+    near the float limit whose detrended squares do not fit) it raises
+    :class:`NonFiniteTrace`.
     """
     n_total = trace.source_length
     if n_total < 6:
@@ -243,14 +242,8 @@ def ols_detect(trace: CssTrace, *, exact_refit: bool = False) -> DetectionResult
     # dxy * dxy; an inf clipped to an SSR of 0 would win the argmin.
     try:
         with np.errstate(over="raise", invalid="raise"):
-            if exact_refit:
-                j = np.arange(1, n_total + 1, dtype=float)
-                for n in range(2, n_total - 1):
-                    s[n - 1] = _refit_ssr(j[:n], c[:n]) + _refit_ssr(j[n:], c[n:])
-            else:
-                _fast_scan(c, s)
-        # lstsq inside np.polyfit runs under its own errstate, so a refit
-        # can come out NaN without raising
+            _fast_scan(c, s)
+        # a NaN or inf that raised no flag would still decide the argmin
         if not np.all(np.isfinite(valid)):
             raise FloatingPointError
     except FloatingPointError:
@@ -265,13 +258,6 @@ def ols_detect(trace: CssTrace, *, exact_refit: bool = False) -> DetectionResult
         statistic_at_cp=float(s[cp - 1]),
         oriented=OrientedTrace(trace),
     )
-
-
-def _refit_ssr(x: np.ndarray, y: np.ndarray) -> float:
-    """SSR of a straight-line fit computed independently of the fast path."""
-    coeffs = np.polyfit(x, y, 1)
-    resid = y - np.polyval(coeffs, x)
-    return float(np.sum(resid * resid))
 
 
 # A robust spec takes its orientation vote on the forward trace at every
@@ -289,7 +275,7 @@ def _strided_vote(arr: np.ndarray, spec: ScaleEstimatorSpec) -> tuple[bool, floa
     n = 2, 2 + ORIENT_STRIDE, ... and N - 1, and that vote's margin (0 when
     it has no interior point)."""
     ns = np.append(np.arange(2, arr.size - 1, ORIENT_STRIDE), arr.size - 1)
-    above, below = _chord_counts(ns, _robust_css_at(arr, spec, ns.tolist()))
+    above, below = _chord_counts(ns, _robust_scan(arr, spec, ns.tolist())[0])
     votes = ns.size - 2
     # ties resolve to convex, as in detect_orientation
     return above <= below, abs(above - below) / votes if votes else 0.0
@@ -320,14 +306,16 @@ def orient(
     The classical spec votes on all of :func:`classical_css`, one cumsum.
     A robust spec votes on its forward trace at every ``ORIENT_STRIDE``-th
     prefix (16) plus N - 1, which costs N insertions into the sorted
-    prefix and about N / 16 scale estimates.  A convex vote then builds
-    only the reversed trace; a concave one, or a constant-prefix fallback,
-    builds the forward trace.  When the strided vote's margin is below
-    ``ORIENT_MIN_MARGIN`` (0.5), the full forward trace is built and its
-    full vote decides.  So a robust ``orient`` builds about one trace, and
-    two only after a close vote that reverses or a constant-prefix
-    fallback.  Any number of detectors can then run on the result with
-    :func:`detect_oriented`.
+    prefix and about N / 16 scale estimates: BMID bisects each point into
+    a sorted list, and QCV sorts ``buf[:n]`` of a copy of the series in
+    place at each voting n, a stable sort that finds the sorted run
+    already there.  A convex vote then builds only the reversed trace; a
+    concave one, or a constant-prefix fallback, builds the forward trace.
+    When the strided vote's margin is below ``ORIENT_MIN_MARGIN`` (0.5),
+    the full forward trace is built and its full vote decides.  So a
+    robust ``orient`` builds about one trace, and two only after a close
+    vote that reverses or a constant-prefix fallback.  Any number of
+    detectors can then run on the result with :func:`detect_oriented`.
     """
     spec = spec if spec is not None else ScaleEstimatorSpec.bmid()
     if orientation not in ORIENTATIONS:

@@ -62,6 +62,8 @@ class StableSpec:
             raise InvalidAlpha(f"alpha must be in (0, 2], got {self.alpha}")
         if not (self.gamma1 > 0.0) or not (self.gamma2 > 0.0):
             raise InvalidGamma("scale parameters must be positive")
+        if math.inf in (self.gamma1, self.gamma2):
+            raise InvalidGamma("scale parameters must be finite")
         if self.gamma1 == self.gamma2:
             raise InvalidParameter("gamma1 == gamma2 defines no scale change")
         _validate_seed(self.seed)
@@ -87,10 +89,14 @@ class MixtureSpec:
     def __post_init__(self):
         if not (self.omega2 > 0.0):
             raise InvalidParameter(f"omega2 must be positive, got {self.omega2}")
+        if self.omega2 == math.inf:
+            raise InvalidParameter("omega2 must be finite, got inf")
         if self.omega2 == 1.0:
             raise InvalidParameter("omega2 == 1 defines no scale change")
         if not (self.nu > 0.0):
             raise InvalidParameter(f"nu must be positive, got {self.nu}")
+        if self.nu == math.inf:
+            raise InvalidParameter("nu must be finite, got inf")
         if not (0.0 <= self.p < 0.5):
             raise InvalidParameter(f"p must lie in [0, 0.5), got {self.p}")
         _validate_seed(self.seed)
@@ -129,6 +135,8 @@ def sample_symmetric_stable(
         raise InvalidAlpha(f"alpha must be in (0, 2], got {alpha}")
     if not (gamma > 0.0):
         raise InvalidGamma(f"gamma must be positive, got {gamma}")
+    if gamma == math.inf:
+        raise InvalidGamma("gamma must be finite, got inf")
     return float(_stable_draws(alpha, gamma, 1, rng)[0])
 
 

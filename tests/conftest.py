@@ -9,8 +9,8 @@ import scaleshift.css
 @pytest.fixture()
 def prefix_estimates(monkeypatch):
     """Counter of robust prefix estimates by estimator kind: the calls of
-    the per-prefix evaluation that the BMID and QCV scans and the strided
-    orientation pass share, degenerate prefixes included."""
+    the per-prefix evaluation in the robust scan, for full traces and the
+    strided orientation pass alike, degenerate prefixes included."""
     counts = collections.Counter()
 
     def counting(kind, point):

@@ -53,6 +53,8 @@ from scaleshift.cli import (
 )
 from scaleshift.detect import ORIENT_STRIDE
 
+from oracles import naive_css
+
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -655,8 +657,7 @@ class TestDetectCommand:
         with open(trace_path, newline="") as fh:
             rows = list(csv.reader(fh))[1:]
         got = np.array([float(r[1]) for r in rows])
-        want = robust_css([float(c) for c in cells], ScaleEstimatorSpec.bmid(),
-                          exact_naive=True).values
+        want = naive_css([float(c) for c in cells], ScaleEstimatorSpec.bmid()).values
         assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("estimator, orientation", [
@@ -1030,6 +1031,14 @@ class TestConfigFile:
         assert rc == 2
         assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
 
+    def test_undecodable_config_file(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_bytes(b"\xff\xfe=")
+        rc = main(["detect", "--config", str(cfg),
+                   "--input", str(FIXTURES / "stable_up.csv")])
+        message = _assert_error_contract(rc, capsys, "ConfigError")
+        assert str(cfg) in message
+
 
 class TestUsageErrors:
     """argparse usage errors follow the error contract: ``main`` returns 2
@@ -1324,9 +1333,17 @@ class TestErrorBranchContracts:
              "InvalidParameter", "omega2 must be positive, got 0.0"),
             (["simulate", "mixture", "--nu", "0"], None,
              "InvalidParameter", "nu must be positive, got 0.0"),
+            (["simulate", "stable", "--gamma2", "inf", "--n", "20", "--cp", "10"],
+             None, "InvalidGamma", "scale parameters must be finite"),
+            (["simulate", "mixture", "--omega2", "inf"], None,
+             "InvalidParameter", "omega2 must be finite, got inf"),
+            (["bench", "mae", "--model", "stable", "--alpha", "1.5",
+              "--gamma2", "inf", "--trials", "2"], None,
+             "InvalidGamma", "scale parameters must be finite"),
         ],
         ids=["unsized-aggregate", "column-0", "seed-env", "trailing-config",
-             "config-without-subcommand", "simulate-n-3", "omega2-0", "nu-0"],
+             "config-without-subcommand", "simulate-n-3", "omega2-0", "nu-0",
+             "gamma2-inf", "omega2-inf", "bench-gamma2-inf"],
     )
     def test_contract(self, argv, env, error, message, monkeypatch, capsys):
         if env is None:

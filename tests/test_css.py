@@ -16,10 +16,12 @@ from scaleshift import (
     reverse_sample,
     robust_css,
 )
-from scaleshift.css import _chord_counts, _robust_css_at
+from scaleshift.css import _chord_counts, _robust_scan
 from scaleshift.detect import ORIENT_STRIDE
 from scaleshift.estimators import QcvBounds
 from scaleshift.simulate import StableSpec, gen_stable_series, make_rng
+
+from oracles import naive_css
 
 
 def _trace(values, spec=None):
@@ -78,12 +80,8 @@ class TestScaleEstimatorSpec:
 class TestRobustCss:
     def test_classical_spec_matches_classical_css(self):
         x = make_rng(2).standard_normal(150) * 4.0 + 1.0
-        direct = classical_css(x).values
-        for exact_naive in (False, True):
-            via_spec = robust_css(
-                x, ScaleEstimatorSpec.classical(), exact_naive=exact_naive
-            ).values
-            assert np.array_equal(via_spec, direct)
+        via_spec = robust_css(x, ScaleEstimatorSpec.classical()).values
+        assert np.array_equal(via_spec, classical_css(x).values)
 
     def test_constant_sample_qcv(self):
         # variance 0 on every prefix leaves n * median^2
@@ -102,7 +100,7 @@ class TestRobustCss:
         )
         for spec in (ScaleEstimatorSpec.bmid(), ScaleEstimatorSpec.qcv()):
             fast = robust_css(series, spec)
-            slow = robust_css(series, spec, exact_naive=True)
+            slow = naive_css(series, spec)
             assert np.array_equal(fast.values, slow.values)
             assert fast.degenerate_prefixes == slow.degenerate_prefixes
 
@@ -181,14 +179,24 @@ class TestScanMatchesOracle:
         # squares of 2^600-scaled data overflow the same way in both paths
         with np.errstate(over="ignore", invalid="ignore"):
             fast = robust_css(x, spec)
-            slow = robust_css(x, spec, exact_naive=True)
+            slow = naive_css(x, spec)
         assert fast.values.tobytes() == slow.values.tobytes()
         assert fast.degenerate_prefixes == slow.degenerate_prefixes
 
 
 class TestStridedTrace:
-    """The strided orientation pass gives the scan's own C_n, bit for bit,
-    at every prefix it evaluates, on the scan's edge cases too."""
+    """The scan at spaced prefix lengths, as the orientation vote runs it,
+    gives the full trace's own C_n and degenerate prefixes, bit for bit,
+    on the scan's edge cases too."""
+
+    @staticmethod
+    def _check(x, spec, ns):
+        with np.errstate(over="ignore", invalid="ignore"):
+            full = robust_css(x, spec)
+        values, degenerate = _robust_scan(x, spec, ns.tolist())
+        assert values.tobytes() == full.values[ns - 1].tobytes()
+        wanted = set(ns.tolist())
+        assert degenerate == [n for n in full.degenerate_prefixes if n in wanted]
 
     @settings(max_examples=120, deadline=None)
     @given(_scan_cases(), st.sampled_from([1, 2, 7, ORIENT_STRIDE, 64]))
@@ -196,11 +204,17 @@ class TestStridedTrace:
         x, spec = case
         n = x.size
         # the orientation vote's prefixes: 2, 2 + k, ... and N - 1
-        ns = np.append(np.arange(2, n - 1, stride), n - 1)
-        with np.errstate(over="ignore", invalid="ignore"):
-            full = robust_css(x, spec).values
-        strided = _robust_css_at(x, spec, ns.tolist())
-        assert strided.tobytes() == full[ns - 1].tobytes()
+        self._check(x, spec, np.append(np.arange(2, n - 1, stride), n - 1))
+
+    @settings(max_examples=120, deadline=None)
+    @given(_scan_cases(), st.data())
+    def test_spaced_path_equals_dense_path(self, case, data):
+        # every n from 2 to N but one: the lengths are spaced, so QCV sorts
+        # in place, yet it is compared with the dense scan at almost every n
+        x, spec = case
+        n = x.size
+        gap = data.draw(st.integers(3, n - 1)) if n > 3 else None
+        self._check(x, spec, np.array([m for m in range(2, n + 1) if m != gap]))
 
     def test_every_prefix_counts_as_linspace_chord(self):
         # over every n from 2 to N - 1 the helper's chord is the one through

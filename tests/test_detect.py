@@ -33,6 +33,8 @@ from scaleshift import (
 )
 from scaleshift.simulate import StableSpec, _stable_draws, gen_stable_series, make_rng
 
+from oracles import refit_ols
+
 # Hand-computed ICSS statistic for [1,1,1,10,10,10]:
 # C = [1,2,3,103,203,303], S_n = C_n/303 - n/6
 ICSS_HAND_S = [-0.1634, -0.3267, -0.4901, -0.3267, -0.1634, 0.0]
@@ -131,7 +133,7 @@ class TestOlsDetect:
         spec = getattr(ScaleEstimatorSpec, spec)()
         tr = orient(x, spec, orientation="off" if n < 8 else "auto").trace
         fast = ols_detect(tr)
-        slow = ols_detect(tr, exact_refit=True)
+        slow = refit_ols(tr)
         assert fast.change_point == slow.change_point
         valid = ~np.isnan(fast.statistic_trace)
         assert np.allclose(
@@ -717,7 +719,7 @@ class TestNonFiniteTrace:
             warnings.simplefilter("error")
             trace = orient(x, spec).trace
             with pytest.raises(NonFiniteTrace):
-                ols_detect(trace, exact_refit=True)
+                refit_ols(trace)
 
     @pytest.mark.parametrize("scale", [1e154, 1.7976931348623157e308])
     @pytest.mark.parametrize("spec", SPECS)

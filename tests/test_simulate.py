@@ -31,6 +31,23 @@ class TestSpecValidation:
         with pytest.raises(InvalidGamma):
             StableSpec(alpha=1.5, gamma2=2.0, gamma1=-1.0)
 
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_gamma_finite(self, bad):
+        # an infinite scale would draw inf and -inf from the change point on
+        with pytest.raises(InvalidGamma):
+            StableSpec(alpha=1.5, gamma2=bad)
+        with pytest.raises(InvalidGamma):
+            StableSpec(alpha=1.5, gamma2=2.0, gamma1=bad)
+        with pytest.raises(InvalidGamma):
+            sample_symmetric_stable(1.5, bad, make_rng(0))
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_mixture_parameters_finite(self, bad):
+        with pytest.raises(InvalidParameter, match="omega2 must be"):
+            MixtureSpec(omega2=bad, nu=5.0, p=0.05)
+        with pytest.raises(InvalidParameter, match="nu must be"):
+            MixtureSpec(omega2=2.0, nu=bad, p=0.05)
+
     def test_genuine_change_required(self):
         with pytest.raises(InvalidParameter):
             StableSpec(alpha=1.5, gamma2=1.0)  # equals gamma1 default
