@@ -21,7 +21,7 @@ import numpy as np
 from .css import ScaleEstimatorSpec
 from .detect import METHOD_ICSS, METHOD_OLS, detect_oriented, orient
 from .errors import ConfigError, EmptyInput, IndexOutOfRange, ScaleShiftError
-from .simulate import MixtureSpec, StableSpec, gen_mixture_series, gen_stable_series
+from .simulate import StableSpec, _generate
 
 __all__ = [
     "Method",
@@ -153,14 +153,6 @@ def trial_seed(base_seed: int, gp_id: int, trial: int) -> int:
     """Per-trial 64-bit seed derived via SeedSequence spawning keys."""
     ss = np.random.SeedSequence((base_seed, gp_id, trial))
     return int(ss.generate_state(1, np.uint64)[0])
-
-
-def _generate(spec):
-    if isinstance(spec, StableSpec):
-        return gen_stable_series(spec)
-    if isinstance(spec, MixtureSpec):
-        return gen_mixture_series(spec)
-    raise ConfigError(f"unsupported generator spec {type(spec).__name__}")
 
 
 @dataclass(frozen=True)

@@ -41,13 +41,14 @@ from .detect import (
 from .errors import (
     ConfigError,
     EmptyColumn,
+    NonFiniteSample,
     NonPositiveForLog,
     ParseError,
     ScaleShiftError,
     TooShortAfterPreprocess,
 )
 from .estimators import BmidConfig, QcvBounds
-from .simulate import MixtureSpec, StableSpec
+from .simulate import MixtureSpec, StableSpec, _generate
 
 __all__ = [
     "TimeSeries",
@@ -450,21 +451,25 @@ def _default_seed() -> int:
         raise ConfigError(f"{SEED_ENV_VAR} must be an integer, got {raw!r}") from None
 
 
-def _model_spec(args, **extra):
-    """The ``StableSpec`` or ``MixtureSpec`` that the ``model`` flags
-    describe; ``extra`` (e.g. ``seed``) is passed through."""
-    if args.model == "stable":
-        return StableSpec(
-            alpha=args.alpha,
-            gamma1=args.gamma1,
-            gamma2=args.gamma2,
-            N=args.n,
-            cp=args.cp,
-            **extra,
-        )
-    return MixtureSpec(
-        omega2=args.omega2, nu=args.nu, p=args.p, N=args.n, cp=args.cp, **extra
-    )
+# model -> (spec class, its parameter flags, simulate's values for the
+# parameters the spec requires); --n and --cp give either spec's N and cp
+_MODELS = {
+    "stable": (StableSpec, ("alpha", "gamma1", "gamma2"),
+               {"alpha": 1.5, "gamma2": 3.0}),
+    "mixture": (MixtureSpec, ("omega2", "nu", "p"),
+                {"omega2": 3.0, "nu": 15.0, "p": 0.05}),
+}
+
+
+def _model_spec(args, **fields):
+    """The ``StableSpec`` or ``MixtureSpec`` of ``args.model``: the model
+    flags that are set, over ``fields`` (e.g. ``seed``); the spec's
+    dataclass supplies every other field."""
+    cls, flags, _ = _MODELS[args.model]
+    values = {flag: getattr(args, flag) for flag in flags}
+    values.update(N=args.n, cp=args.cp)
+    fields.update((k, v) for k, v in values.items() if v is not None)
+    return cls(**fields)
 
 
 def _estimator_from_args(args) -> ScaleEstimatorSpec:
@@ -562,7 +567,9 @@ def _parse_column(raw: str):
 
 def _cmd_simulate(args) -> int:
     seed = args.seed if args.seed is not None else _default_seed()
-    series, cp = bench_mod._generate(_model_spec(args, seed=seed))
+    series, cp = _generate(_model_spec(args, **_MODELS[args.model][2], seed=seed))
+    if not np.isfinite(series).all():
+        raise NonFiniteSample("simulated series holds NaN or infinite values")
     out = (
         open(args.output, "w", newline="")
         if args.output
@@ -575,8 +582,8 @@ def _cmd_simulate(args) -> int:
 
 
 # bench flags that describe one model's grid point; a preset brings its own
-_STABLE_FLAGS = ("alpha", "gamma1", "gamma2")
-_MIXTURE_FLAGS = ("omega2", "nu", "p")
+_STABLE_FLAGS = _MODELS["stable"][1]
+_MIXTURE_FLAGS = _MODELS["mixture"][1]
 _GRID_FLAGS = ("model", *_STABLE_FLAGS, *_MIXTURE_FLAGS, "n", "cp", "n_list")
 
 
@@ -588,11 +595,12 @@ def _refuse_unread_bench_flags(args) -> None:
     else:
         unread = _MIXTURE_FLAGS if args.model == "stable" else _STABLE_FLAGS
         run = f"--model {args.model}"
-    unread += ("n_list",) if args.kind == "mae" else ("detections_csv",)
+    # the timing study takes N from --n-list and cp = N // 2
+    unread += ("n_list",) if args.kind == "mae" else ("n", "cp", "detections_csv")
     given = [
         f"--{dest.replace('_', '-')}"
         for dest in dict.fromkeys(unread)
-        if dest in args.given
+        if getattr(args, dest) is not None
     ]
     if given:
         raise ConfigError(
@@ -643,11 +651,11 @@ def _parse_n_list(text: str) -> tuple[int, ...]:
 
 
 def _explicit_bench_config(args, base_seed) -> bench_mod.BenchConfig:
-    if args.model == "stable":
-        if args.alpha is None or args.gamma2 is None:
-            raise ConfigError("stable bench needs --alpha and --gamma2")
-    elif args.omega2 is None or args.nu is None or args.p is None:
-        raise ConfigError("mixture bench needs --omega2, --nu and --p")
+    fields = dataclasses.fields(_MODELS[args.model][0])
+    required = [f.name for f in fields if f.default is dataclasses.MISSING]
+    if any(getattr(args, name) is None for name in required):
+        *head, last = (f"--{name}" for name in required)
+        raise ConfigError(f"{args.model} bench needs {', '.join(head)} and {last}")
     return bench_mod.BenchConfig(
         grid=(_model_spec(args),),
         methods=bench_mod.default_methods(),
@@ -668,14 +676,14 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(f"{self.prog}: {message}")
 
 
-class _Given(argparse.Action):
-    """Store an option's value, as the default action does, and add its
-    destination to ``given``, so a command can tell a flag that was set
-    from one left at its default."""
-
-    def __call__(self, parser, namespace, values, option_string=None):
-        setattr(namespace, self.dest, values)
-        namespace.given = namespace.given | {self.dest}
+def _add_model_flags(parser) -> None:
+    """The flags that ``_model_spec`` reads, each without a default: an
+    unset one leaves the spec's own."""
+    for _, flags, _ in _MODELS.values():
+        for flag in flags:
+            parser.add_argument(f"--{flag}", type=float)
+    parser.add_argument("--n", type=int)
+    parser.add_argument("--cp", type=int)
 
 
 def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
@@ -714,36 +722,21 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p_det.set_defaults(func=_cmd_detect)
 
     p_sim = sub.add_parser("simulate", help="write a synthetic fixture CSV")
-    p_sim.add_argument("model", choices=("stable", "mixture"))
+    p_sim.add_argument("model", choices=_MODELS)
     p_sim.add_argument("--config", help="flat key=value config file")
-    p_sim.add_argument("--n", type=int, default=1000)
-    p_sim.add_argument("--cp", type=int, default=None)
     p_sim.add_argument("--seed", type=int, default=None,
                        help=f"defaults to ${SEED_ENV_VAR} or 0")
-    p_sim.add_argument("--alpha", type=float, default=1.5)
-    p_sim.add_argument("--gamma1", type=float, default=StableSpec.gamma1)
-    p_sim.add_argument("--gamma2", type=float, default=3.0)
-    p_sim.add_argument("--omega2", type=float, default=3.0)
-    p_sim.add_argument("--nu", type=float, default=15.0)
-    p_sim.add_argument("--p", type=float, default=0.05)
+    _add_model_flags(p_sim)
     p_sim.add_argument("--output", help="fixture CSV path (default stdout)")
     p_sim.set_defaults(func=_cmd_simulate)
 
+    # every bench option defaults to None: a flag is given when it is not
     p_bench = sub.add_parser("bench", help="run a Monte Carlo study")
-    # every bench option records in args.given that it was set
-    p_bench.register("action", None, _Given)
     p_bench.add_argument("kind", choices=("mae", "timing"))
     p_bench.add_argument("--config", help="flat key=value config file")
     p_bench.add_argument("--preset", choices=_PRESETS)
-    p_bench.add_argument("--model", choices=("stable", "mixture"))
-    p_bench.add_argument("--alpha", type=float)
-    p_bench.add_argument("--gamma1", type=float, default=StableSpec.gamma1)
-    p_bench.add_argument("--gamma2", type=float)
-    p_bench.add_argument("--omega2", type=float)
-    p_bench.add_argument("--nu", type=float)
-    p_bench.add_argument("--p", type=float)
-    p_bench.add_argument("--n", type=int, default=1000)
-    p_bench.add_argument("--cp", type=int, default=None)
+    p_bench.add_argument("--model", choices=_MODELS)
+    _add_model_flags(p_bench)
     p_bench.add_argument("--trials", type=int, default=None)
     p_bench.add_argument("--base-seed", type=int, default=None,
                          help=f"defaults to ${SEED_ENV_VAR} or 0")
@@ -751,7 +744,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p_bench.add_argument("--output-csv")
     p_bench.add_argument("--output-json")
     p_bench.add_argument("--detections-csv")
-    p_bench.set_defaults(func=_cmd_bench, given=frozenset())
+    p_bench.set_defaults(func=_cmd_bench)
     return parser, sub.choices
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidAlpha, InvalidGamma, InvalidParameter
+from .errors import ConfigError, InvalidAlpha, InvalidGamma, InvalidParameter
 
 __all__ = [
     "StableSpec",
@@ -144,13 +144,15 @@ def gen_stable_series(spec: StableSpec) -> tuple[np.ndarray, int]:
     """Series from the stable model plus its ground-truth change point.
 
     Draws a standard stable stream and multiplies by the per-regime scale
-    (scaling a standard draw by gamma is exact for stable laws).
+    (scaling a standard draw by gamma is exact for stable laws).  A draw
+    that overflows is inf or NaN, without a numpy warning.
     """
     rng = make_rng(spec.seed)
-    draws = _stable_draws(spec.alpha, 1.0, spec.N, rng)
-    idx = np.arange(1, spec.N + 1)
-    scale = np.where(idx < spec.cp, spec.gamma1, spec.gamma2)
-    return draws * scale, spec.cp
+    with np.errstate(over="ignore", invalid="ignore"):
+        draws = _stable_draws(spec.alpha, 1.0, spec.N, rng)
+        idx = np.arange(1, spec.N + 1)
+        scale = np.where(idx < spec.cp, spec.gamma1, spec.gamma2)
+        return draws * scale, spec.cp
 
 
 def _draw_mixture_parts(
@@ -168,6 +170,17 @@ def _draw_mixture_parts(
 
 
 def gen_mixture_series(spec: MixtureSpec) -> tuple[np.ndarray, int]:
-    """Series from the spiky mixture model plus its ground-truth change point."""
-    g, u, k = _draw_mixture_parts(spec)
-    return g + u * k, spec.cp
+    """Series from the spiky mixture model plus its ground-truth change point.
+    A value that overflows is inf or NaN, without a numpy warning."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        g, u, k = _draw_mixture_parts(spec)
+        return g + u * k, spec.cp
+
+
+def _generate(spec) -> tuple[np.ndarray, int]:
+    """The series and change point of a ``StableSpec`` or ``MixtureSpec``."""
+    if isinstance(spec, StableSpec):
+        return gen_stable_series(spec)
+    if isinstance(spec, MixtureSpec):
+        return gen_mixture_series(spec)
+    raise ConfigError(f"unsupported generator spec {type(spec).__name__}")

@@ -1,5 +1,6 @@
 """Unit tests for CSV ingestion, preprocessing, and the CLI subcommands."""
 import csv
+import dataclasses
 import hashlib
 import io
 import json
@@ -1252,9 +1253,18 @@ class TestBenchCommand:
              "bench mae with --model mixture does not read --gamma1"),
             (["mae", *_MIXTURE, "--n-list", "5,6"],
              "bench mae with --model mixture does not read --n-list"),
+            (["timing", *_MIXTURE, "--n-list", "20,40,80,160,320", "--n", "50",
+              "--cp", "7"],
+             "bench timing with --model mixture does not read --n, --cp"),
+            (["timing", "--model", "stable", "--alpha", "1.5", "--gamma2", "3",
+              "--n-list", "20,40,80,160,320", "--cp", "7"],
+             "bench timing with --model stable does not read --cp"),
+            (["mae", "--preset", "stable-desk", "--n", "1000"],
+             "bench mae with --preset stable-desk does not read --n"),
         ],
         ids=["detections-csv", "preset-model", "preset-n-list", "stable-nu",
-             "mixture-gamma1", "mae-n-list"],
+             "mixture-gamma1", "mae-n-list", "timing-n-cp", "timing-cp",
+             "preset-spec-default-n"],
     )
     def test_unread_flag_refused(self, argv, message, tmp_path, capsys):
         argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
@@ -1269,6 +1279,26 @@ class TestBenchCommand:
                    "--n-list", "20,40,80,160,320"])
         message = _assert_error_contract(rc, capsys, "ConfigError")
         assert message.endswith("does not read --detections-csv")
+        # 1000 is StableSpec's own N, and a preset still does not read it
+        cfg.write_text("n = 1000\n")
+        rc = main(["bench", "mae", "--config", str(cfg), "--preset", "stable-desk"])
+        message = _assert_error_contract(rc, capsys, "ConfigError")
+        assert message == "bench mae with --preset stable-desk does not read --n"
+
+    def test_overflowing_trials_fail_quietly(self, tmp_path, capsys):
+        # each series overflows past cp: every trial of every method is a
+        # NonFiniteSample failure, and numpy warns of nothing
+        out = tmp_path / "mae.json"
+        rc = main(["bench", "mae", "--model", "stable", "--alpha", "1.5",
+                   "--gamma2", "1e308", "--n", "50", "--trials", "2",
+                   "--output-json", str(out)])
+        assert rc == 0
+        assert capsys.readouterr() == ("", "")
+        for row in json.loads(out.read_text())["rows"]:
+            assert row["detections"] == []
+            assert row["failures"] == [
+                {"trial": t, "error": "NonFiniteSample"} for t in (0, 1)
+            ]
 
     @pytest.mark.parametrize(
         "argv, message",
@@ -1340,10 +1370,17 @@ class TestErrorBranchContracts:
             (["bench", "mae", "--model", "stable", "--alpha", "1.5",
               "--gamma2", "inf", "--trials", "2"], None,
              "InvalidGamma", "scale parameters must be finite"),
+            (["simulate", "stable", "--gamma2", "1e308", "--n", "20", "--cp", "10",
+              "--seed", "1"], None,
+             "NonFiniteSample", "simulated series holds NaN or infinite values"),
+            (["simulate", "mixture", "--omega2", "1e308", "--nu", "1e308",
+              "--p", "0.2", "--n", "20"], None,
+             "NonFiniteSample", "simulated series holds NaN or infinite values"),
         ],
         ids=["unsized-aggregate", "column-0", "seed-env", "trailing-config",
              "config-without-subcommand", "simulate-n-3", "omega2-0", "nu-0",
-             "gamma2-inf", "omega2-inf", "bench-gamma2-inf"],
+             "gamma2-inf", "omega2-inf", "bench-gamma2-inf", "gamma2-1e308",
+             "omega2-1e308"],
     )
     def test_contract(self, argv, env, error, message, monkeypatch, capsys):
         if env is None:
@@ -1417,10 +1454,35 @@ class TestLibraryDefaults:
             kw["orientation"], kw["head_len"], kw["threshold"]
         )
 
-    @pytest.mark.parametrize("argv", [["simulate", "stable"], ["bench", "mae"]])
-    def test_gamma1(self, argv):
-        parser, _ = cli._build_parser()
-        assert parser.parse_args(argv).gamma1 == StableSpec(1.5, 3.0).gamma1
+    @pytest.mark.parametrize(
+        "argv",
+        [["simulate", "stable"],
+         ["bench", "mae", "--model", "stable", "--alpha", "1.5", "--gamma2", "3",
+          "--trials", "1"]],
+    )
+    def test_gamma1(self, argv, monkeypatch, capsys):
+        # the spec built from unset flags has the spec's own defaults
+        built = []
+        model_spec = cli._model_spec
+
+        def spy(*args, **fields):
+            built.append(model_spec(*args, **fields))
+            return built[-1]
+
+        monkeypatch.setattr(cli, "_model_spec", spy)
+        assert main(argv) == 0
+        (spec,) = built
+        default = StableSpec(spec.alpha, spec.gamma2)
+        assert (spec.gamma1, spec.N, spec.cp) == (default.gamma1, default.N, default.cp)
+
+    @pytest.mark.parametrize("model", ["stable", "mixture"])
+    def test_simulate_fills_the_required_fields(self, model):
+        cls, _, values = cli._MODELS[model]
+        required = [
+            f.name for f in dataclasses.fields(cls)
+            if f.default is dataclasses.MISSING
+        ]
+        assert list(values) == required
 
     _MODEL = ["bench", "mae", "--model", "mixture", "--omega2", "4", "--nu", "12",
               "--p", "0.05", "--n", "20"]
