@@ -566,6 +566,7 @@ def _parse_column(raw: str):
 
 
 def _cmd_simulate(args) -> int:
+    _refuse_unread_flags(args)
     seed = args.seed if args.seed is not None else _default_seed()
     series, cp = _generate(_model_spec(args, **_MODELS[args.model][2], seed=seed))
     if not np.isfinite(series).all():
@@ -587,31 +588,34 @@ _MIXTURE_FLAGS = _MODELS["mixture"][1]
 _GRID_FLAGS = ("model", *_STABLE_FLAGS, *_MIXTURE_FLAGS, "n", "cp", "n_list")
 
 
-def _refuse_unread_bench_flags(args) -> None:
-    """Raise :class:`ConfigError` for a flag given to a bench run that does
-    not read it, instead of ignoring it."""
-    if args.preset:
-        unread, run = _GRID_FLAGS, f"--preset {args.preset}"
+def _refuse_unread_flags(args) -> None:
+    """Raise :class:`ConfigError` for a flag given to a ``simulate`` or
+    ``bench`` run that does not read it, instead of ignoring it: the other
+    model's flags, or with ``--preset`` every grid flag."""
+    other = _MIXTURE_FLAGS if args.model == "stable" else _STABLE_FLAGS
+    if args.command == "simulate":
+        unread, run = other, f"simulate {args.model}"
     else:
-        unread = _MIXTURE_FLAGS if args.model == "stable" else _STABLE_FLAGS
-        run = f"--model {args.model}"
-    # the timing study takes N from --n-list and cp = N // 2
-    unread += ("n_list",) if args.kind == "mae" else ("n", "cp", "detections_csv")
+        if args.preset:
+            unread, run = _GRID_FLAGS, f"--preset {args.preset}"
+        else:
+            unread, run = other, f"--model {args.model}"
+        # the timing study takes N from --n-list and cp = N // 2
+        unread += ("n_list",) if args.kind == "mae" else ("n", "cp", "detections_csv")
+        run = f"bench {args.kind} with {run}"
     given = [
         f"--{dest.replace('_', '-')}"
         for dest in dict.fromkeys(unread)
         if getattr(args, dest) is not None
     ]
     if given:
-        raise ConfigError(
-            f"bench {args.kind} with {run} does not read {', '.join(given)}"
-        )
+        raise ConfigError(f"{run} does not read {', '.join(given)}")
 
 
 def _cmd_bench(args) -> int:
     if not (args.preset or args.model):
         raise ConfigError("either --preset or --model is required")
-    _refuse_unread_bench_flags(args)
+    _refuse_unread_flags(args)
     base_seed = args.base_seed if args.base_seed is not None else _default_seed()
     if args.preset:
         cfg = build_preset(args.preset, base_seed)
@@ -762,6 +766,8 @@ def _inject_config(argv: list[str], commands: dict) -> list[str]:
         path, rest = argv[i + 1], argv[:i] + argv[i + 2 :]
     else:
         path, rest = token.partition("=")[2], argv[:i] + argv[i + 1 :]
+    if any(t == "--config" or t.startswith("--config=") for t in rest):
+        raise ConfigError("--config given more than once")
     # keep the subcommand words in front, then config args, then user flags
     j = 0
     while j < len(rest) and not rest[j].startswith("-"):

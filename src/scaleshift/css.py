@@ -1,5 +1,4 @@
-"""Cumulative-sum-of-squares traces, classical and robust, plus the
-orientation transformations (chord test, constant-prefix check, reversal).
+"""Cumulative-sum-of-squares traces, classical and robust.
 
 The classical trace is C_n = sum of the first n squares.  The robust trace
 replaces mean and variance in the identity C_n = n*(var + mean^2) - var with
@@ -7,14 +6,13 @@ the sample median and a robust scale estimate computed on each prefix.
 """
 from __future__ import annotations
 
-import enum
 import math
 from bisect import bisect_left, insort_left
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InsufficientLength, InvalidParameter
+from .errors import InvalidParameter
 from .estimators import (
     BmidConfig,
     QcvBounds,
@@ -28,26 +26,15 @@ __all__ = [
     "KIND_CLASSICAL",
     "KIND_BMID",
     "KIND_QCV",
-    "Orientation",
     "ScaleEstimatorSpec",
     "CssTrace",
     "classical_css",
     "robust_css",
-    "detect_orientation",
-    "constant_prefix_check",
-    "reverse_sample",
 ]
 
 KIND_CLASSICAL = "classical"
 KIND_BMID = "bmid"
 KIND_QCV = "qcv"
-
-
-class Orientation(enum.Enum):
-    """Shape of a robust CSS trace relative to its end-point chord."""
-
-    CONCAVE = "concave"
-    CONVEX = "convex"
 
 
 @dataclass(frozen=True)
@@ -141,12 +128,6 @@ def classical_css(values) -> CssTrace:
         estimator=ScaleEstimatorSpec.classical(),
         source_length=arr.size,
     )
-
-
-def reverse_sample(values) -> np.ndarray:
-    """A reversed copy of the sample."""
-    arr = np.asarray(values, dtype=float).reshape(-1)
-    return arr[::-1].copy()
 
 
 def _mad_sorted(keys: list, med: float) -> float:
@@ -290,72 +271,3 @@ def robust_css(values, spec: ScaleEstimatorSpec) -> CssTrace:
         source_length=arr.size,
         degenerate_prefixes=tuple(degenerate),
     )
-
-
-def _chord_counts(ns: np.ndarray, values: np.ndarray) -> tuple[int, int]:
-    """Counts of the points (n, C_n) strictly above and strictly below the
-    chord through the first and the last of them.
-
-    Strictly means beyond a tolerance of 1e-12 max|C_n|, so exactly
-    collinear points count to neither side and the counts do not depend on
-    the units of the data.  Over every n from 2 on, the chord positions t
-    are those of ``np.linspace(0, 1, ns.size)``, bit for bit.
-    """
-    t = (ns - ns[0]) * (1.0 / (ns[-1] - ns[0]))
-    t[-1] = 1.0
-    # An overflowed trace gives inf/NaN chord points, which count to
-    # neither side; a detector refuses a non-finite trace (NonFiniteTrace).
-    with np.errstate(over="ignore", invalid="ignore"):
-        chord = values[0] * (1.0 - t) + values[-1] * t
-        tol = 1e-12 * float(np.max(np.abs(values)))
-        above = int(np.sum(values > chord + tol))
-        below = int(np.sum(values < chord - tol))
-    return above, below
-
-
-def detect_orientation(trace: CssTrace) -> Orientation:
-    """Classify the trace against the chord through (2, C_2), (N-1, C_{N-1}).
-
-    Counts interior points strictly above and strictly below the chord
-    (strictly meaning beyond a tolerance of 1e-12 max|C_n|, so exactly
-    collinear traces count to neither side and the decision does not
-    depend on the units of the data).  Concave when above-count
-    exceeds below-count; ties resolve to Convex.
-    """
-    n_total = trace.source_length
-    if n_total < 4:
-        raise InsufficientLength("orientation needs at least 4 points")
-    above, below = _chord_counts(
-        np.arange(2, n_total), trace.values[1 : n_total - 1]
-    )
-    return Orientation.CONCAVE if above > below else Orientation.CONVEX
-
-
-def _check_head_params(head_len: int, threshold: float) -> None:
-    """The constant-prefix check's parameters: ``head_len`` >= 1 and
-    ``threshold`` in [0, 1] (NaN is not)."""
-    if head_len < 1:
-        raise InvalidParameter("head_len must be >= 1")
-    if not 0.0 <= threshold <= 1.0:
-        raise InvalidParameter(f"threshold must be in [0, 1], got {threshold}")
-
-
-def constant_prefix_check(
-    trace: CssTrace, head_len: int = 6, threshold: float = 0.05
-) -> bool:
-    """True when the trace head dominates: taking omega as the mean of
-    C_n over n = 2..head_len+1, the fraction of n in {2..N-1} with
-    C_n > omega stays below ``threshold``.  A ``head_len`` below 1 or a
-    ``threshold`` outside [0, 1] raises :class:`InvalidParameter`."""
-    _check_head_params(head_len, threshold)
-    n_total = trace.source_length
-    if n_total < head_len + 2:
-        raise InsufficientLength(
-            f"constant-prefix check needs N >= head_len + 2 = {head_len + 2}"
-        )
-    head = trace.values[1 : head_len + 1]
-    with np.errstate(over="ignore"):  # a head near the float limit sums to inf
-        omega = float(np.mean(head))
-    interior = trace.values[1 : n_total - 1]
-    eps = float(np.sum(interior > omega)) / (n_total - 2)
-    return eps < threshold

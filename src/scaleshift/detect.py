@@ -1,5 +1,5 @@
-"""Change-point detectors on CSS traces and the orientation-corrected
-pipeline.
+"""Change-point detectors on CSS traces, and the orientation step that
+chooses which trace they scan.
 
 Two detectors are provided.  ICSS locates the argmax of the centered,
 normalized statistic |C_n/C_N - n/N|.  The OLS quantile method fits straight
@@ -9,23 +9,12 @@ combined sum of squared residuals.
 from __future__ import annotations
 
 import dataclasses
+import enum
 from dataclasses import dataclass
 
 import numpy as np
 
-from .css import (
-    CssTrace,
-    Orientation,
-    ScaleEstimatorSpec,
-    _check_head_params,
-    _chord_counts,
-    _robust_scan,
-    classical_css,
-    constant_prefix_check,
-    detect_orientation,
-    reverse_sample,
-    robust_css,
-)
+from .css import CssTrace, ScaleEstimatorSpec, _robust_scan, classical_css, robust_css
 from .errors import (
     InsufficientLength,
     InvalidParameter,
@@ -37,10 +26,14 @@ from .estimators import _as_sample
 __all__ = [
     "METHOD_ICSS",
     "METHOD_OLS",
+    "Orientation",
     "DetectionResult",
     "OrientedTrace",
     "icss_detect",
     "ols_detect",
+    "detect_orientation",
+    "constant_prefix_check",
+    "reverse_sample",
     "orient",
     "detect_oriented",
 ]
@@ -260,25 +253,99 @@ def ols_detect(trace: CssTrace) -> DetectionResult:
     )
 
 
-# A robust spec takes its orientation vote on the forward trace at every
-# ORIENT_STRIDE-th prefix, n = 2, 2 + k, ... and N - 1.  Each C_n depends
-# only on its own prefix, so that pass inserts every point into the sorted
-# prefix but estimates the scale at about N / k of them.
-ORIENT_STRIDE = 16
-# When that vote's margin, |above - below| over its interior points, falls
-# below this, orient builds the full forward trace and votes on all of it.
-ORIENT_MIN_MARGIN = 0.5
+class Orientation(enum.Enum):
+    """Shape of a robust CSS trace relative to its end-point chord."""
+
+    CONCAVE = "concave"
+    CONVEX = "convex"
 
 
-def _strided_vote(arr: np.ndarray, spec: ScaleEstimatorSpec) -> tuple[bool, float]:
-    """Whether the forward robust trace is convex by the chord vote at
-    n = 2, 2 + ORIENT_STRIDE, ... and N - 1, and that vote's margin (0 when
-    it has no interior point)."""
-    ns = np.append(np.arange(2, arr.size - 1, ORIENT_STRIDE), arr.size - 1)
-    above, below = _chord_counts(ns, _robust_scan(arr, spec, ns.tolist())[0])
+def reverse_sample(values) -> np.ndarray:
+    """A reversed copy of the sample."""
+    arr = np.asarray(values, dtype=float).reshape(-1)
+    return arr[::-1].copy()
+
+
+def _chord_counts(ns: np.ndarray, values: np.ndarray) -> tuple[int, int]:
+    """Counts of the points (n, C_n) strictly above and strictly below the
+    chord through the first and the last of them.
+
+    Strictly means beyond a tolerance of 1e-12 max|C_n|, so exactly
+    collinear points count to neither side and the counts do not depend on
+    the units of the data.  Over every n from 2 on, the chord positions t
+    are those of ``np.linspace(0, 1, ns.size)``, bit for bit.
+    """
+    t = (ns - ns[0]) * (1.0 / (ns[-1] - ns[0]))
+    t[-1] = 1.0
+    # An overflowed trace gives inf/NaN chord points, which count to
+    # neither side; a detector refuses a non-finite trace (NonFiniteTrace).
+    with np.errstate(over="ignore", invalid="ignore"):
+        chord = values[0] * (1.0 - t) + values[-1] * t
+        tol = 1e-12 * float(np.max(np.abs(values)))
+        above = int(np.sum(values > chord + tol))
+        below = int(np.sum(values < chord - tol))
+    return above, below
+
+
+def _vote(ns: np.ndarray, values: np.ndarray) -> tuple[bool, float]:
+    """The chord vote of the points (n, C_n): whether they are convex, that
+    is no more of them lie above the chord than below it (a tie is convex),
+    and the margin |above - below| over the interior points (0 when there
+    is none)."""
+    above, below = _chord_counts(ns, values)
     votes = ns.size - 2
-    # ties resolve to convex, as in detect_orientation
     return above <= below, abs(above - below) / votes if votes else 0.0
+
+
+def detect_orientation(trace: CssTrace) -> Orientation:
+    """Classify the trace by the chord vote of its interior points, n = 2
+    .. N-1, against the chord through (2, C_2) and (N-1, C_{N-1}): concave
+    when more of them lie above the chord than below it, convex otherwise.
+    """
+    n_total = trace.source_length
+    if n_total < 4:
+        raise InsufficientLength("orientation needs at least 4 points")
+    convex, _ = _vote(np.arange(2, n_total), trace.values[1 : n_total - 1])
+    return Orientation.CONVEX if convex else Orientation.CONCAVE
+
+
+def _check_head_params(head_len: int, threshold: float) -> None:
+    """The constant-prefix check's parameters: ``head_len`` >= 1 and
+    ``threshold`` in [0, 1] (NaN is not)."""
+    if head_len < 1:
+        raise InvalidParameter("head_len must be >= 1")
+    if not 0.0 <= threshold <= 1.0:
+        raise InvalidParameter(f"threshold must be in [0, 1], got {threshold}")
+
+
+def constant_prefix_check(
+    trace: CssTrace, head_len: int = 6, threshold: float = 0.05
+) -> bool:
+    """True when the trace head dominates: taking omega as the mean of
+    C_n over n = 2..head_len+1, the fraction of n in {2..N-1} with
+    C_n > omega stays below ``threshold``.  A ``head_len`` below 1 or a
+    ``threshold`` outside [0, 1] raises :class:`InvalidParameter`."""
+    _check_head_params(head_len, threshold)
+    n_total = trace.source_length
+    if n_total < head_len + 2:
+        raise InsufficientLength(
+            f"constant-prefix check needs N >= head_len + 2 = {head_len + 2}"
+        )
+    head = trace.values[1 : head_len + 1]
+    with np.errstate(over="ignore"):  # a head near the float limit sums to inf
+        omega = float(np.mean(head))
+    interior = trace.values[1 : n_total - 1]
+    eps = float(np.sum(interior > omega)) / (n_total - 2)
+    return eps < threshold
+
+
+# A robust spec takes its chord vote on the forward trace at every
+# ORIENT_STRIDE-th prefix, n = 2, 2 + k, ... and N - 1; each C_n depends
+# only on its own prefix.
+ORIENT_STRIDE = 16
+# When that vote's margin falls below this, orient builds the full forward
+# trace and votes on all of it.
+ORIENT_MIN_MARGIN = 0.5
 
 
 def orient(
@@ -303,17 +370,14 @@ def orient(
     forward trace.  A ``head_len`` below 1 or a ``threshold`` that is NaN
     or outside [0, 1] raises :class:`InvalidParameter` on every call.
 
-    The classical spec votes on all of :func:`classical_css`, one cumsum.
-    A robust spec votes on its forward trace at every ``ORIENT_STRIDE``-th
-    prefix (16) plus N - 1, which costs N insertions into the sorted
-    prefix and about N / 16 scale estimates: BMID bisects each point into
-    a sorted list, and QCV sorts ``buf[:n]`` of a copy of the series in
-    place at each voting n, a stable sort that finds the sorted run
-    already there.  A convex vote then builds only the reversed trace; a
-    concave one, or a constant-prefix fallback, builds the forward trace.
-    When the strided vote's margin is below ``ORIENT_MIN_MARGIN`` (0.5),
-    the full forward trace is built and its full vote decides.  So a
-    robust ``orient`` builds about one trace, and two only after a close
+    A robust spec first votes on its forward trace at every
+    ``ORIENT_STRIDE``-th prefix (16) plus N - 1, which costs about N / 16
+    scale estimates.  When that vote's margin is below
+    ``ORIENT_MIN_MARGIN`` (0.5), and always for the classical spec, the
+    full forward trace is built and :func:`detect_orientation` decides.  A
+    convex decision builds the reversed trace, and a concave one, or a
+    constant-prefix fallback, the forward trace if it is not built yet.  So
+    a robust ``orient`` builds about one trace, and two only after a close
     vote that reverses or a constant-prefix fallback.  Any number of
     detectors can then run on the result with :func:`detect_oriented`.
     """
@@ -329,7 +393,10 @@ def orient(
         return OrientedTrace(robust_css(values, spec))
     arr = _as_sample(values, min_len=max(8, head_len + 2), what="series")
     # the classical trace is one cumsum, so it always takes the full vote
-    convex, margin = _strided_vote(arr, spec) if spec.is_robust else (True, 0.0)
+    convex, margin = True, 0.0
+    if spec.is_robust:
+        ns = np.append(np.arange(2, arr.size - 1, ORIENT_STRIDE), arr.size - 1)
+        convex, margin = _vote(ns, _robust_scan(arr, spec, ns.tolist())[0])
     forward = None
     if margin < ORIENT_MIN_MARGIN:
         forward = robust_css(arr, spec)

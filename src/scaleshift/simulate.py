@@ -13,7 +13,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, InvalidAlpha, InvalidGamma, InvalidParameter
+from .errors import (
+    ConfigError,
+    InvalidAlpha,
+    InvalidGamma,
+    InvalidParameter,
+    NonFiniteSample,
+)
 
 __all__ = [
     "StableSpec",
@@ -130,14 +136,19 @@ def _stable_draws(
 def sample_symmetric_stable(
     alpha: float, gamma: float, rng: np.random.Generator
 ) -> float:
-    """One draw from the symmetric stable law S_alpha(gamma)."""
+    """One draw from the symmetric stable law S_alpha(gamma).  A draw that
+    overflows raises :class:`NonFiniteSample`."""
     if not (0.0 < alpha <= 2.0):
         raise InvalidAlpha(f"alpha must be in (0, 2], got {alpha}")
     if not (gamma > 0.0):
         raise InvalidGamma(f"gamma must be positive, got {gamma}")
     if gamma == math.inf:
         raise InvalidGamma("gamma must be finite, got inf")
-    return float(_stable_draws(alpha, gamma, 1, rng)[0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        draw = float(_stable_draws(alpha, gamma, 1, rng)[0])
+    if not math.isfinite(draw):
+        raise NonFiniteSample(f"stable draw with gamma {gamma} is not finite")
+    return draw
 
 
 def gen_stable_series(spec: StableSpec) -> tuple[np.ndarray, int]:

@@ -16,13 +16,12 @@ import scaleshift as ss
 from scaleshift.bench import BenchConfig, Method, run_mae_study, run_timing_study
 from scaleshift.cli import build_preset, main
 from scaleshift.css import (
-    Orientation,
     ScaleEstimatorSpec,
     classical_css,
-    detect_orientation,
     robust_css,
 )
 from scaleshift.detect import METHOD_ICSS, detect_oriented, icss_detect, ols_detect, orient
+from scaleshift.detect import Orientation, detect_orientation
 from scaleshift.simulate import MixtureSpec, StableSpec, gen_stable_series, make_rng
 from scaleshift.simulate import _stable_draws
 

@@ -1376,11 +1376,25 @@ class TestErrorBranchContracts:
             (["simulate", "mixture", "--omega2", "1e308", "--nu", "1e308",
               "--p", "0.2", "--n", "20"], None,
              "NonFiniteSample", "simulated series holds NaN or infinite values"),
+            (["simulate", "mixture", "--alpha", "7", "--gamma1", "-3", "--n", "10",
+              "--seed", "1"], None,
+             "ConfigError", "simulate mixture does not read --alpha, --gamma1"),
+            (["simulate", "stable", "--omega2", "3", "--nu", "15", "--p", "0.05",
+              "--n", "10"], None,
+             "ConfigError", "simulate stable does not read --omega2, --nu, --p"),
+            (["detect", "--input", STABLE_UP, "--config", "a.cfg",
+              "--config", "b.cfg"], None,
+             "ConfigError", "--config given more than once"),
+            (["detect", "--config=a.cfg", "--input", STABLE_UP,
+              "--config=b.cfg"], None,
+             "ConfigError", "--config given more than once"),
         ],
         ids=["unsized-aggregate", "column-0", "seed-env", "trailing-config",
              "config-without-subcommand", "simulate-n-3", "omega2-0", "nu-0",
              "gamma2-inf", "omega2-inf", "bench-gamma2-inf", "gamma2-1e308",
-             "omega2-1e308"],
+             "omega2-1e308", "simulate-mixture-stable-flags",
+             "simulate-stable-mixture-flags", "config-twice",
+             "config-equals-twice"],
     )
     def test_contract(self, argv, env, error, message, monkeypatch, capsys):
         if env is None:
@@ -1389,6 +1403,15 @@ class TestErrorBranchContracts:
             monkeypatch.setenv("SCALESHIFT_SEED", env)
         got = _assert_error_contract(main(argv), capsys, error)
         assert got == message if message is not None else got
+
+    def test_unread_simulate_flag_from_config(self, tmp_path, capsys):
+        # a flag from a config file is refused as the same flag on the line
+        cfg = _write(tmp_path, "run.cfg", "omega2 = 3\n")
+        got = _assert_error_contract(
+            main(["simulate", "stable", "--config", cfg, "--n", "20"]),
+            capsys, "ConfigError",
+        )
+        assert got == "simulate stable does not read --omega2"
 
     def test_overlong_unfinished_last_line(self, tmp_path, monkeypatch, capsys):
         # the last line is longer than a bulk block and the field size

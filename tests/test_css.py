@@ -16,8 +16,8 @@ from scaleshift import (
     reverse_sample,
     robust_css,
 )
-from scaleshift.css import _chord_counts, _robust_scan
-from scaleshift.detect import ORIENT_STRIDE
+from scaleshift.css import _robust_scan
+from scaleshift.detect import ORIENT_STRIDE, _chord_counts
 from scaleshift.estimators import QcvBounds
 from scaleshift.simulate import StableSpec, gen_stable_series, make_rng
 

@@ -615,6 +615,38 @@ class TestStridedVote:
         assert differ["null"] <= 4
 
 
+class TestStepsLookedUpByName:
+    """``orient`` and ``detect_oriented`` look each step up on
+    ``scaleshift.detect`` when they call it, so a wrapper set on the module,
+    as the benchmark's tracer sets one, sees every call."""
+
+    STEPS = ("robust_css", "detect_orientation", "constant_prefix_check",
+             "icss_detect", "ols_detect")
+
+    def test_every_wrapped_step_is_called(self, monkeypatch):
+        calls = dict.fromkeys(self.STEPS, 0)
+
+        def counting(name, step):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return step(*args, **kwargs)
+            return wrapper
+
+        for name in self.STEPS:
+            monkeypatch.setattr(
+                detect_module, name, counting(name, getattr(detect_module, name))
+            )
+        # no strided margin reaches 1.01, so the full vote runs
+        monkeypatch.setattr(detect_module, "ORIENT_MIN_MARGIN", 1.01)
+        o = orient(_two_regime_gaussian(n=300, cp=150, sigma2=3.0))
+        assert o.reversed_applied
+        for method in (METHOD_ICSS, METHOD_OLS):
+            detect_oriented(o, method)
+        assert calls == {"robust_css": 2, "detect_orientation": 1,
+                         "constant_prefix_check": 1, "icss_detect": 1,
+                         "ols_detect": 1}
+
+
 class TestScaleEquivariance:
     """Scaling a series by a power of two scales every trace by an exact
     power of four, so neither the change point nor a flag may move."""

@@ -9,6 +9,7 @@ from scaleshift import (
     InvalidGamma,
     InvalidParameter,
     MixtureSpec,
+    NonFiniteSample,
     StableSpec,
     gen_mixture_series,
     gen_stable_series,
@@ -111,6 +112,15 @@ class TestStableSampler:
             sample_symmetric_stable(2.5, 1.0, rng)
         with pytest.raises(InvalidGamma):
             sample_symmetric_stable(1.5, 0.0, rng)
+
+    @pytest.mark.parametrize("alpha", [2.0, 1.5, 1.0])
+    def test_overflowing_draw_raises(self, alpha):
+        # a finite scale near the float limit: a draw that overflows is a
+        # typed error, not a numpy warning and an inf
+        rng = make_rng(1)
+        with pytest.raises(NonFiniteSample):
+            for _ in range(100):
+                assert math.isfinite(sample_symmetric_stable(alpha, 1e308, rng))
 
 
 class TestGenStableSeries:
