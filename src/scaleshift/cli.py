@@ -142,14 +142,14 @@ def _is_number(cell: str) -> bool:
 def ingest_csv(path, column=1) -> TimeSeries:
     """Read one column of a CSV file as a series of finite reals.
 
-    ``column`` is a 1-based index or a header name.  Blank rows are
-    skipped.  The first non-blank row is a header when its cell in the
-    column is not a number or, for a row too narrow to have that cell,
-    when one of its cells is neither blank nor a number.  Any other
-    unparseable, non-finite or missing cell is a hard :class:`ParseError`
-    carrying its physical line number, and so is a row the CSV reader
-    rejects (e.g. a cell over the field size limit); bytes that do not
-    decode give a :class:`ParseError` without one.
+    ``column`` is a 1-based index or a header name.  One leading
+    byte-order mark and blank rows are skipped.  The first non-blank row
+    is a header when its cell in the column is not a number or, for a row
+    too narrow to have that cell, when one of its cells is neither blank
+    nor a number.  Any other unparseable, non-finite or missing cell is a
+    hard :class:`ParseError` carrying its physical line number, and so is
+    a row the CSV reader rejects (e.g. a cell over the field size limit);
+    bytes that do not decode give a :class:`ParseError` without one.
 
     The row loop in :func:`_read_column` defines what a file means.  Past
     the first value, plain numeric text is read in bulk by
@@ -178,6 +178,8 @@ def _read_column(path, column, *, bulk: bool) -> np.ndarray | None:
             raise ConfigError(f"column index must be >= 1, got {column}")
         first = True  # no non-blank row seen yet
         try:
+            if fh.read(1) != "\ufeff":  # skip one byte-order mark
+                fh.seek(0)
             for row in reader:
                 # Fast path for the common row: a finite number in the
                 # column.  IndexError is a short row, TypeError a header
@@ -484,9 +486,11 @@ def _estimator_from_args(args) -> ScaleEstimatorSpec:
 # subcommands
 
 def _cmd_detect(args) -> int:
+    # a bad step list is refused before the input is read
+    steps = parse_preprocess_spec(args.preprocess) if args.preprocess else None
     ts = ingest_csv(args.input, _parse_column(args.column))
-    if args.preprocess:
-        ts = preprocess(ts, parse_preprocess_spec(args.preprocess))
+    if steps is not None:
+        ts = preprocess(ts, steps)
     spec = _estimator_from_args(args)
     oriented = orient(
         ts.values,

@@ -7,7 +7,7 @@ the sample median and a robust scale estimate computed on each prefix.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, insort_left
+from bisect import bisect_left
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -130,8 +130,8 @@ def classical_css(values) -> CssTrace:
     )
 
 
-def _mad_sorted(keys: list, med: float) -> float:
-    """Raw MAD about ``med`` of the sorted list ``keys``, by selection.
+def _mad_sorted(keys, med: float) -> float:
+    """Raw MAD about ``med`` of the sorted sequence ``keys``, by selection.
 
     fl(x - med) is monotone in x, so |x - med| falls over the keys below
     ``med`` and rises over the rest: two sorted runs.  A binary search for
@@ -162,28 +162,23 @@ def _mad_sorted(keys: list, med: float) -> float:
     return (kth + abs(min(below, above))) / 2.0
 
 
-def _bmid_point(keys: list, arr: np.ndarray, c: float) -> tuple[float, bool]:
-    """C_n of the BMID trace at n = len(keys), from ``keys``, the sorted
-    ``arr[:n]``, and whether the prefix is degenerate (zero MAD, variance 0
-    substituted)."""
-    n = len(keys)
-    med = _median_sorted(keys)
-    mad_val = _mad_sorted(keys, med)
-    degenerate = mad_val == 0.0
-    var = 0.0 if degenerate else _bmid_core(arr[:n], med, mad_val, c)
-    return n * (var + med * med) - var, degenerate
+def _bmid_point(prefix, med, arr, c) -> tuple[float, bool]:
+    """BMID variance of ``arr[:n]``, n = len(prefix), from ``prefix``, its
+    sorted copy, and ``med``, its median; and whether the prefix is
+    degenerate (zero MAD, variance 0 substituted)."""
+    mad_val = _mad_sorted(prefix, med)
+    if mad_val == 0.0:
+        return 0.0, True
+    return _bmid_core(arr[: len(prefix)], med, mad_val, c), False
 
 
-def _qcv_point(keys, window: np.ndarray) -> tuple[float, bool]:
-    """C_n of the QCV trace at n = len(keys), from ``keys``, the sorted
-    prefix as a list or an array, and ``window``, its QCV window as an
-    array; and whether the prefix is degenerate (fewer than two points in
-    the window, variance 0 substituted)."""
-    n = len(keys)
-    med = _median_sorted(keys)
-    degenerate = window.size < 2
-    var = 0.0 if degenerate else _window_variance(window)
-    return n * (var + med * med) - var, degenerate
+def _qcv_point(window: np.ndarray) -> tuple[float, bool]:
+    """QCV variance of a prefix from ``window``, its QCV window in the
+    sorted prefix; and whether the prefix is degenerate (fewer than two
+    points in the window, variance 0 substituted)."""
+    if window.size < 2:
+        return 0.0, True
+    return _window_variance(window), False
 
 
 def _robust_scan(
@@ -193,45 +188,44 @@ def _robust_scan(
     ``ns`` (each >= 2), and those n whose prefix is degenerate.
 
     Every point enters the sorted prefix, but the scale is estimated only
-    at the n in ``ns``, by :func:`_bmid_point` or :func:`_qcv_point`.  BMID
-    inserts into a sorted list.  QCV also keeps the sorted prefix in an
-    array, whose windows are contiguous slices: when ``ns`` is every n from
-    2 on, each point is bisected into the list and shifted into the array;
-    when the lengths are spaced, ``buf[:n]`` of a copy of the series is
-    sorted in place, and the stable sort merges the new points into the
-    sorted run before them.  Both give the same C_n bit for bit.
+    at the n in ``ns``, by :func:`_bmid_point` or :func:`_qcv_point`.  When
+    ``ns`` is every n from 2 on, each point is bisected into a sorted list,
+    and QCV, whose windows are slices of an array, also shifts it into
+    ``buf``; when the lengths are spaced, ``buf[:n]`` of a copy of the
+    series is sorted in place, and the stable sort merges the new points
+    into the sorted run before them.  Both give the same C_n bit for bit.
     """
     out = np.empty(len(ns))
     degenerate = []
+    dense = len(ns) == ns[-1] - 1
     values = arr.tolist()
     keys = values[:1]
+    buf = arr.copy()
     if spec.kind == KIND_QCV:
-        # QcvBounds.window(n) at every n: the same IEEE products n * a, n * b
-        sizes = np.asarray(ns)
-        los = np.floor(sizes * spec.qcv_bounds.a).astype(int).tolist()
-        his = np.floor(sizes * spec.qcv_bounds.b).astype(int).tolist()
-        buf = arr.copy()
-        dense = len(ns) == ns[-1] - 1
+        los, his = spec.qcv_bounds.window(np.asarray(ns))
     # Squares past the float range become inf, and sums of such values
     # NaN, which NonFiniteTrace reports; a MAD near the underflow limit
     # sends |u| to inf, which lies outside the BMID weights |u| < 1 as it
     # should.  One errstate per scan, not per prefix.
     with np.errstate(over="ignore", invalid="ignore"):
         for i, n in enumerate(ns):
-            if spec.kind == KIND_BMID:
-                for x in values[len(keys) : n]:
-                    insort_left(keys, x)
-                out[i], flat = _bmid_point(keys, arr, spec.bmid_config.c)
-            elif dense:
+            if dense:
                 x = values[n - 1]
                 pos = bisect_left(keys, x)
                 keys.insert(pos, x)
-                buf[pos + 1 : n] = buf[pos : n - 1]
-                buf[pos] = x
-                out[i], flat = _qcv_point(keys, buf[los[i] : his[i]])
+                if spec.kind == KIND_QCV:
+                    buf[pos + 1 : n] = buf[pos : n - 1]
+                    buf[pos] = x
+                prefix = keys
             else:
-                buf[:n].sort(kind="stable")
-                out[i], flat = _qcv_point(buf[:n], buf[los[i] : his[i]])
+                prefix = buf[:n]
+                prefix.sort(kind="stable")
+            med = _median_sorted(prefix)
+            if spec.kind == KIND_BMID:
+                var, flat = _bmid_point(prefix, med, arr, spec.bmid_config.c)
+            else:
+                var, flat = _qcv_point(buf[los[i] : his[i]])
+            out[i] = n * (var + med * med) - var
             if flat:
                 degenerate.append(n)
     return out, degenerate

@@ -8,7 +8,6 @@ statistics inside a quantile window [a, b).
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,9 +68,11 @@ class QcvBounds:
                 f"QCV bounds must satisfy 0 < a < b < 1, got a={self.a}, b={self.b}"
             )
 
-    def window(self, n: int) -> tuple[int, int]:
-        """0-based half-open slice [lo, hi) of the sorted sample of size n."""
-        return math.floor(n * self.a), math.floor(n * self.b)
+    def window(self, n):
+        """0-based half-open slice [lo, hi) of the sorted sample of size n;
+        elementwise, as two lists, for an integer array of sizes."""
+        lo, hi = (np.floor(n * q).astype(int).tolist() for q in (self.a, self.b))
+        return lo, hi
 
 
 def _as_sample(values, min_len: int = 1, what: str = "sample") -> np.ndarray:

@@ -201,9 +201,21 @@ class TestIngestCsv:
 
     def test_undecodable_bytes_are_parse_error(self, tmp_path):
         path = tmp_path / "ff.csv"
-        path.write_bytes(b"1.0\n2.0\n\xff\n")
-        with pytest.raises(ParseError):
-            ingest_csv(str(path))
+        for text in (b"1.0\n2.0\n\xff\n", b"\xff1.0\n2.0\n"):
+            path.write_bytes(text)
+            with pytest.raises(ParseError):
+                ingest_csv(str(path))
+
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        # a headerless file keeps its first value, a header its first name
+        values = [float(v) for v in range(1, 41)]
+        path = tmp_path / "bom.csv"
+        path.write_bytes(("\ufeff" + "\n".join(map(str, values))).encode())
+        assert ingest_csv(str(path)).values.tolist() == values
+        named = tmp_path / "named.csv"
+        named.write_bytes("\ufeffdate,price\n1,10.5\n2,11.5\n".encode())
+        assert ingest_csv(str(named), "date").values.tolist() == [1.0, 2.0]
+        assert ingest_csv(str(named), 2).values.tolist() == [10.5, 11.5]
 
     def test_oversized_field_is_parse_error_with_line(self, tmp_path):
         path = _write(tmp_path, "big.csv", "1.0\n2.0\n" + "9" * 131073 + "\n")
@@ -604,6 +616,21 @@ class TestDetectCommand:
         assert rc == 2
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "FileNotFound"
+
+    def test_bad_preprocess_refused_before_reading(self, tmp_path, capsys):
+        rc = main(["detect", "--input", str(tmp_path / "missing.csv"),
+                   "--preprocess", "bogus"])
+        message = _assert_error_contract(rc, capsys, "ConfigError")
+        assert "bogus" in message
+
+    def test_byte_order_mark_keeps_the_first_value(self, tmp_path, capsys):
+        path = tmp_path / "bom.csv"
+        path.write_bytes("\ufeff".encode() + b"".join(
+            b"%d\n" % (v % 7 - 3) for v in range(40)
+        ))
+        rc = main(["detect", "--input", str(path), "--estimator", "classical"])
+        assert rc == 0
+        assert json.loads(capsys.readouterr().out)["n"] == 40
 
     @pytest.mark.parametrize("step", ["diff:x", "agg:y"])
     def test_non_integer_preprocess_argument_contract(self, fixture_csv, step, capsys):

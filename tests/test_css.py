@@ -209,8 +209,8 @@ class TestStridedTrace:
     @settings(max_examples=120, deadline=None)
     @given(_scan_cases(), st.data())
     def test_spaced_path_equals_dense_path(self, case, data):
-        # every n from 2 to N but one: the lengths are spaced, so QCV sorts
-        # in place, yet it is compared with the dense scan at almost every n
+        # every n from 2 to N but one: the lengths are spaced, so both
+        # kinds sort in place, yet meet the dense scan at almost every n
         x, spec = case
         n = x.size
         gap = data.draw(st.integers(3, n - 1)) if n > 3 else None

@@ -1,4 +1,5 @@
 """Unit tests for the location and scale estimators."""
+import math
 import warnings
 
 import numpy as np
@@ -166,8 +167,26 @@ class TestQcvVariance:
         assert qcv_variance(wild) == qcv_variance(base)
 
     def test_window_too_small(self):
-        with pytest.raises(WindowTooSmall):
+        with pytest.raises(WindowTooSmall) as exc:
             qcv_variance([1.0, 2.0], QcvBounds(0.4, 0.6))
+        assert str(exc.value) == (
+            "QCV window [0.4, 0.6] keeps 1 of 2 points; need at least 2"
+        )
+
+    @pytest.mark.parametrize(
+        "bounds", [QcvBounds(), QcvBounds(0.05, 0.95), QcvBounds(1 / 3, 2 / 3)]
+    )
+    def test_window_elementwise(self, bounds):
+        # an array of sizes gives, as two lists, each size's own window,
+        # the floor of the same products n * a and n * b
+        scalar = [bounds.window(n) for n in range(1, 20001)]
+        assert scalar == [
+            (math.floor(n * bounds.a), math.floor(n * bounds.b))
+            for n in range(1, 20001)
+        ]
+        assert all(type(lo) is int and type(hi) is int for lo, hi in scalar)
+        lo, hi = bounds.window(np.arange(1, 20001))
+        assert list(zip(lo, hi)) == scalar
 
     def test_bounds_validation(self):
         with pytest.raises(InvalidParameter):
