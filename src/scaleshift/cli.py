@@ -35,6 +35,7 @@ from .detect import (
     METHOD_OLS,
     ORIENTATIONS,
     DetectionResult,
+    _check_head_params,
     detect_oriented,
     orient,
 )
@@ -52,7 +53,6 @@ from .simulate import MixtureSpec, StableSpec, _generate
 
 __all__ = [
     "TimeSeries",
-    "PreprocessSpec",
     "ingest_csv",
     "preprocess",
     "parse_preprocess_spec",
@@ -76,19 +76,10 @@ class TimeSeries:
     preprocessing: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
-class PreprocessSpec:
-    """Ordered preprocessing steps.
-
-    Each step is one of ``("log-returns",)``, ``("difference", k)``, or
-    ``("aggregate", b, reducer)`` with reducer ``mean`` or ``median``.
-    """
-
-    steps: tuple[tuple, ...] = ()
-
-
-def parse_preprocess_spec(text: str) -> PreprocessSpec:
-    """Parse a comma-separated step list, e.g. ``log-returns,diff:2,agg:60:mean``.
+def parse_preprocess_spec(text: str) -> tuple[tuple, ...]:
+    """Parse a comma-separated step list, e.g. ``log-returns,diff:2,agg:60:mean``,
+    into the steps in order: ``("log-returns",)``, ``("difference", k)`` or
+    ``("aggregate", b, reducer)``.
 
     Accepted step forms: ``log-returns``; ``difference:K`` (alias ``diff``);
     ``aggregate:B[:mean|median]`` (alias ``agg``, default reducer mean).
@@ -118,7 +109,7 @@ def parse_preprocess_spec(text: str) -> PreprocessSpec:
             steps.append(("aggregate", b, reducer))
         else:
             raise ConfigError(f"unknown preprocessing step {token!r}")
-    return PreprocessSpec(steps=tuple(steps))
+    return tuple(steps)
 
 
 def _step_int(text: str, what: str) -> int:
@@ -142,7 +133,8 @@ def _is_number(cell: str) -> bool:
 def ingest_csv(path, column=1) -> TimeSeries:
     """Read one column of a CSV file as a series of finite reals.
 
-    ``column`` is a 1-based index or a header name.  One leading
+    ``column`` is a 1-based index or a header name; an index below 1 is a
+    :class:`ConfigError` before the file is opened.  One leading
     byte-order mark and blank rows are skipped.  The first non-blank row
     is a header when its cell in the column is not a number or, for a row
     too narrow to have that cell, when one of its cells is neither blank
@@ -170,12 +162,12 @@ def _read_column(path, column, *, bulk: bool) -> np.ndarray | None:
     With ``bulk``, the loop stops at the first value, once blank rows and
     the header are settled, and hands the rest of the file to
     :func:`_read_plain_rest`; None means that it refused the rest."""
+    col_idx = None if isinstance(column, str) else int(column) - 1
+    if col_idx is not None and col_idx < 0:
+        raise ConfigError(f"column index must be >= 1, got {column}")
     values = []
     with open(path, newline="") as fh:
         reader = csv_mod.reader(fh)
-        col_idx = None if isinstance(column, str) else int(column) - 1
-        if col_idx is not None and col_idx < 0:
-            raise ConfigError(f"column index must be >= 1, got {column}")
         first = True  # no non-blank row seen yet
         try:
             if fh.read(1) != "\ufeff":  # skip one byte-order mark
@@ -303,17 +295,18 @@ def _read_plain_block(block: str, col_idx: int, limit: int) -> np.ndarray | None
     return values if np.isfinite(values).all() else None
 
 
-def preprocess(ts: TimeSeries, spec: PreprocessSpec) -> TimeSeries:
-    """Apply the steps in order: log-returns (requires positive input),
-    k-fold differencing, or non-overlapping block aggregation with the tail
-    remainder dropped.  The result must keep at least 8 points.  A step
-    that overflows gives inf or NaN without a numpy warning."""
+def preprocess(ts: TimeSeries, steps: tuple[tuple, ...]) -> TimeSeries:
+    """Apply ``steps``, as :func:`parse_preprocess_spec` returns them, in
+    order: log-returns (requires positive input), k-fold differencing, or
+    non-overlapping block aggregation with the tail remainder dropped.  The
+    result must keep at least 8 points, even with no steps.  A step that
+    overflows gives inf or NaN without a numpy warning."""
     x = ts.values
-    applied = (*ts.preprocessing, *(":".join(map(str, step)) for step in spec.steps))
+    applied = (*ts.preprocessing, *(":".join(map(str, step)) for step in steps))
     # A step may overflow to inf or NaN; orient() refuses such a series
     # with NonFiniteSample, so numpy's warnings would only repeat that.
     with np.errstate(all="ignore"):
-        for step in spec.steps:
+        for step in steps:
             name = step[0]
             if name == "log-returns":
                 if x.size < 2:
@@ -421,6 +414,8 @@ def _load_config_args(path, options) -> list[str]:
         raise ConfigError(f"config file not found: {path}") from None
     with fh:
         try:
+            if fh.read(1) != "\ufeff":  # skip one byte-order mark
+                fh.seek(0)
             lines = fh.readlines()
         except UnicodeDecodeError as exc:
             raise ConfigError(
@@ -486,12 +481,13 @@ def _estimator_from_args(args) -> ScaleEstimatorSpec:
 # subcommands
 
 def _cmd_detect(args) -> int:
-    # a bad step list is refused before the input is read
+    # every option is checked before the input is opened
     steps = parse_preprocess_spec(args.preprocess) if args.preprocess else None
+    spec = _estimator_from_args(args)
+    _check_head_params(args.head_len, args.prefix_threshold)
     ts = ingest_csv(args.input, _parse_column(args.column))
     if steps is not None:
         ts = preprocess(ts, steps)
-    spec = _estimator_from_args(args)
     oriented = orient(
         ts.values,
         spec,

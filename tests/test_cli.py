@@ -44,7 +44,6 @@ from scaleshift import (
 )
 from scaleshift import cli
 from scaleshift.cli import (
-    PreprocessSpec,
     TimeSeries,
     build_preset,
     ingest_csv,
@@ -468,19 +467,19 @@ class TestBulkIngest:
 
 class TestParsePreprocessSpec:
     def test_full_form(self):
-        spec = parse_preprocess_spec("log-returns,difference:2,aggregate:60:median")
-        assert spec.steps == (
+        steps = parse_preprocess_spec("log-returns,difference:2,aggregate:60:median")
+        assert steps == (
             ("log-returns",),
             ("difference", 2),
             ("aggregate", 60, "median"),
         )
 
     def test_aliases_and_default_reducer(self):
-        spec = parse_preprocess_spec("diff:1,agg:10")
-        assert spec.steps == (("difference", 1), ("aggregate", 10, "mean"))
+        steps = parse_preprocess_spec("diff:1,agg:10")
+        assert steps == (("difference", 1), ("aggregate", 10, "mean"))
 
     def test_empty(self):
-        assert parse_preprocess_spec("").steps == ()
+        assert parse_preprocess_spec("") == ()
 
     def test_rejects_bad_steps(self):
         for bad in ("smooth:3", "difference", "diff:0", "agg:0", "agg:5:max",
@@ -492,32 +491,32 @@ class TestParsePreprocessSpec:
 class TestPreprocess:
     def test_difference_semantics(self):
         ts = preprocess(_ts([j * j for j in range(1, 10)]),
-                        PreprocessSpec((("difference", 1),)))
+                        (("difference", 1),))
         assert ts.values.tolist() == [3.0, 5.0, 7.0, 9.0, 11.0, 13.0, 15.0, 17.0]
         assert ts.preprocessing == ("difference:1",)
 
     def test_aggregate_mean_semantics(self):
-        ts = preprocess(_ts([1, 3, 5, 7] * 4), PreprocessSpec((("aggregate", 2, "mean"),)))
+        ts = preprocess(_ts([1, 3, 5, 7] * 4), (("aggregate", 2, "mean"),))
         assert ts.values.tolist() == [2.0, 6.0] * 4
 
     def test_aggregate_drops_remainder(self):
-        ts = preprocess(_ts(list(range(17))), PreprocessSpec((("aggregate", 2, "mean"),)))
+        ts = preprocess(_ts(list(range(17))), (("aggregate", 2, "mean"),))
         assert ts.values.size == 8
 
     def test_log_returns_semantics(self):
         x = [math.e**j for j in range(9)]
-        ts = preprocess(_ts(x), PreprocessSpec((("log-returns",),)))
+        ts = preprocess(_ts(x), (("log-returns",),))
         assert np.allclose(ts.values, 1.0)
 
     def test_log_returns_requires_positive(self):
         with pytest.raises(NonPositiveForLog):
-            preprocess(_ts([1.0, -2.0] + [1.0] * 10), PreprocessSpec((("log-returns",),)))
+            preprocess(_ts([1.0, -2.0] + [1.0] * 10), (("log-returns",),))
 
     def test_too_short_result_rejected(self):
         with pytest.raises(TooShortAfterPreprocess):
-            preprocess(_ts([1, 4, 9, 16]), PreprocessSpec((("difference", 1),)))
+            preprocess(_ts([1, 4, 9, 16]), (("difference", 1),))
         with pytest.raises(TooShortAfterPreprocess):
-            preprocess(_ts([1, 3, 5, 7]), PreprocessSpec((("aggregate", 2, "mean"),)))
+            preprocess(_ts([1, 3, 5, 7]), (("aggregate", 2, "mean"),))
 
     @pytest.mark.parametrize(
         "values, step, message",
@@ -532,12 +531,12 @@ class TestPreprocess:
     )
     def test_step_that_leaves_no_data(self, values, step, message):
         with pytest.raises(TooShortAfterPreprocess) as exc:
-            preprocess(_ts(values), PreprocessSpec((step,)))
+            preprocess(_ts(values), (step,))
         assert str(exc.value) == message
 
     def test_labels_name_each_step(self):
-        spec = parse_preprocess_spec("log-returns,diff:2,agg:3,agg:2:median")
-        ts = preprocess(_ts(np.exp(np.arange(1.0, 60.0) ** 0.5)), spec)
+        steps = parse_preprocess_spec("log-returns,diff:2,agg:3,agg:2:median")
+        ts = preprocess(_ts(np.exp(np.arange(1.0, 60.0) ** 0.5)), steps)
         assert ts.preprocessing == (
             "log-returns", "difference:2", "aggregate:3:mean", "aggregate:2:median"
         )
@@ -548,7 +547,7 @@ class TestPreprocess:
         for n, k, b in ((100, 1, 3), (57, 2, 5), (64, 3, 2), (200, 4, 7)):
             ts = preprocess(
                 _ts(rng.standard_normal(n)),
-                PreprocessSpec((("difference", k), ("aggregate", b, "mean"))),
+                (("difference", k), ("aggregate", b, "mean")),
             )
             assert ts.values.size == (n - k) // b
 
@@ -617,11 +616,40 @@ class TestDetectCommand:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "FileNotFound"
 
-    def test_bad_preprocess_refused_before_reading(self, tmp_path, capsys):
-        rc = main(["detect", "--input", str(tmp_path / "missing.csv"),
-                   "--preprocess", "bogus"])
-        message = _assert_error_contract(rc, capsys, "ConfigError")
-        assert "bogus" in message
+    @pytest.mark.parametrize(
+        "flags, error, message",
+        [
+            (["--preprocess", "bogus"], "ConfigError",
+             "unknown preprocessing step 'bogus'"),
+            (["--bmid-c", "0"], "InvalidParameter",
+             "BMID constant c must be positive, got 0.0"),
+            (["--estimator", "qcv", "--qcv-a", "0.9", "--qcv-b", "0.1"],
+             "InvalidParameter",
+             "QCV bounds must satisfy 0 < a < b < 1, got a=0.9, b=0.1"),
+            (["--head-len", "0"], "InvalidParameter", "head_len must be >= 1"),
+            (["--prefix-threshold", "nan"], "InvalidParameter",
+             "threshold must be in [0, 1], got nan"),
+            (["--column", "0"], "ConfigError", "column index must be >= 1, got 0"),
+        ],
+        ids=["preprocess", "bmid-c", "qcv-bounds", "head-len", "prefix-threshold",
+             "column"],
+    )
+    def test_bad_option_refused_before_reading(self, tmp_path, flags, error,
+                                               message, capsys):
+        # the input does not exist, so a check that came after opening it
+        # would report FileNotFound
+        rc = main(["detect", "--input", str(tmp_path / "missing.csv"), *flags])
+        assert _assert_error_contract(rc, capsys, error) == message
+
+    def test_empty_step_list_still_preprocesses(self, tmp_path, capsys):
+        # "," parses to no steps, and preprocess still asks for 8 points;
+        # without --preprocess the 5 rows go to the classical detector
+        path = _write(tmp_path, "five.csv", "1\n5\n2\n8\n3\n")
+        argv = ["detect", "--input", path, "--estimator", "classical"]
+        assert main(argv) == 0
+        assert json.loads(capsys.readouterr().out)["n"] == 5
+        rc = main(argv + ["--preprocess", ","])
+        _assert_error_contract(rc, capsys, "TooShortAfterPreprocess")
 
     def test_byte_order_mark_keeps_the_first_value(self, tmp_path, capsys):
         path = tmp_path / "bom.csv"
@@ -996,6 +1024,16 @@ class TestConfigFile:
             assert main(["detect", "--input", series, "--orientation", value,
                          "--column", "2"]) == 0
             assert from_config == capsys.readouterr().out
+
+    def test_byte_order_mark_is_skipped(self, tmp_path, capsys):
+        series = str(FIXTURES / "stable_up.csv")
+        cfg = tmp_path / "bom.cfg"
+        cfg.write_bytes(b"\xef\xbb\xbforientation = off\ncolumn = 2\n")
+        assert main(["detect", "--config", str(cfg), "--input", series]) == 0
+        from_config = capsys.readouterr().out
+        assert main(["detect", "--input", series, "--orientation", "off",
+                     "--column", "2"]) == 0
+        assert from_config == capsys.readouterr().out
 
     def test_config_equals_form(self, tmp_path, capsys):
         series = str(FIXTURES / "stable_up.csv")
