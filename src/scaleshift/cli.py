@@ -48,7 +48,6 @@ from .errors import (
     ScaleShiftError,
     TooShortAfterPreprocess,
 )
-from .estimators import BmidConfig, QcvBounds
 from .simulate import MixtureSpec, StableSpec, _generate
 
 __all__ = [
@@ -469,12 +468,27 @@ def _model_spec(args, **fields):
     return cls(**fields)
 
 
+# the estimator constants each kind reads: flag dest -> spec argument
+_ESTIMATOR_FLAGS = {
+    KIND_CLASSICAL: {},
+    KIND_BMID: {"bmid_c": "c"},
+    KIND_QCV: {"qcv_a": "a", "qcv_b": "b"},
+}
+
+
 def _estimator_from_args(args) -> ScaleEstimatorSpec:
-    if args.estimator == KIND_CLASSICAL:
-        return ScaleEstimatorSpec.classical()
-    if args.estimator == KIND_BMID:
-        return ScaleEstimatorSpec.bmid(args.bmid_c)
-    return ScaleEstimatorSpec.qcv(args.qcv_a, args.qcv_b)
+    """The spec of ``args.estimator`` from the constants that are set; its
+    constructor supplies the others.  Another estimator's constant is a
+    :class:`ConfigError`."""
+    reads = _ESTIMATOR_FLAGS[args.estimator]
+    others = [d for flags in _ESTIMATOR_FLAGS.values() for d in flags if d not in reads]
+    _refuse_given(args, others, f"detect --estimator {args.estimator}")
+    given = {
+        arg: getattr(args, dest)
+        for dest, arg in reads.items()
+        if getattr(args, dest) is not None
+    }
+    return getattr(ScaleEstimatorSpec, args.estimator)(**given)
 
 
 # --------------------------------------------------------------------------
@@ -603,6 +617,12 @@ def _refuse_unread_flags(args) -> None:
         # the timing study takes N from --n-list and cp = N // 2
         unread += ("n_list",) if args.kind == "mae" else ("n", "cp", "detections_csv")
         run = f"bench {args.kind} with {run}"
+    _refuse_given(args, unread, run)
+
+
+def _refuse_given(args, unread, run: str) -> None:
+    """Raise :class:`ConfigError` naming each flag of ``unread`` (dests)
+    that is set, because ``run`` does not read it."""
     given = [
         f"--{dest.replace('_', '-')}"
         for dest in dict.fromkeys(unread)
@@ -710,9 +730,11 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
         choices=(KIND_CLASSICAL, KIND_BMID, KIND_QCV),
         default=KIND_BMID,
     )
-    p_det.add_argument("--bmid-c", type=float, default=BmidConfig.c)
-    p_det.add_argument("--qcv-a", type=float, default=QcvBounds.a)
-    p_det.add_argument("--qcv-b", type=float, default=QcvBounds.b)
+    # no defaults: a constant is given when it is not None, and the spec
+    # supplies the rest
+    p_det.add_argument("--bmid-c", type=float)
+    p_det.add_argument("--qcv-a", type=float)
+    p_det.add_argument("--qcv-b", type=float)
     p_det.add_argument(
         "--orientation",
         choices=ORIENTATIONS,

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidParameter
+from .errors import DegenerateScale, InvalidParameter
 from .estimators import (
     BmidConfig,
     QcvBounds,
@@ -100,8 +100,8 @@ class CssTrace:
     """Sequence C_n (or its robust counterpart) for n = 1..N.
 
     ``degenerate_prefixes`` lists prefix lengths where the robust variance was
-    undefined (zero MAD, or a QCV window with fewer than two points) and a
-    zero variance was substituted.
+    undefined (zero MAD or zero BMID weight sum, or a QCV window with fewer
+    than two points) and a zero variance was substituted.
     """
 
     values: np.ndarray
@@ -165,11 +165,11 @@ def _mad_sorted(keys, med: float) -> float:
 def _bmid_point(prefix, med, arr, c) -> tuple[float, bool]:
     """BMID variance of ``arr[:n]``, n = len(prefix), from ``prefix``, its
     sorted copy, and ``med``, its median; and whether the prefix is
-    degenerate (zero MAD, variance 0 substituted)."""
-    mad_val = _mad_sorted(prefix, med)
-    if mad_val == 0.0:
+    degenerate (zero MAD or zero weight sum, variance 0 substituted)."""
+    try:
+        return _bmid_core(arr[: len(prefix)], med, _mad_sorted(prefix, med), c), False
+    except DegenerateScale:
         return 0.0, True
-    return _bmid_core(arr[: len(prefix)], med, mad_val, c), False
 
 
 def _qcv_point(window: np.ndarray) -> tuple[float, bool]:
@@ -236,9 +236,9 @@ def robust_css(values, spec: ScaleEstimatorSpec) -> CssTrace:
 
     The n = 1 entry is x_1^2 (single-point variance taken as zero), keeping
     the trace length N and matching the classical trace at n = 1.  Prefixes
-    with an undefined robust variance (zero MAD, or a QCV window with fewer
-    than two points) get variance 0 substituted and are recorded in
-    ``degenerate_prefixes``.
+    with an undefined robust variance (zero MAD or zero BMID weight sum, or
+    a QCV window with fewer than two points) get variance 0 substituted and
+    are recorded in ``degenerate_prefixes``.
 
     A classical spec gives :func:`classical_css`, the running sum of
     squares that the identity reduces to with the mean and the sample

@@ -56,7 +56,8 @@ class InvalidGamma(InvalidParameter):
 
 
 class DegenerateScale(ScaleShiftError):
-    """MAD is zero: the biweight midvariance weights are undefined."""
+    """MAD or the denominator's weight sum is zero: the biweight
+    midvariance is undefined."""
 
 
 class WindowTooSmall(ScaleShiftError):

@@ -8,6 +8,7 @@ statistics inside a quantile window [a, b).
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,6 +50,8 @@ class BmidConfig:
     def __post_init__(self):
         if not (self.c > 0):
             raise InvalidParameter(f"BMID constant c must be positive, got {self.c}")
+        if self.c == math.inf:
+            raise InvalidParameter("BMID constant c must be finite, got inf")
 
 
 @dataclass(frozen=True)
@@ -105,24 +108,50 @@ def _mad_value(values: np.ndarray, med: float) -> float:
 
 
 def _bmid_core(values: np.ndarray, med: float, mad_val: float, c: float) -> float:
-    """Biweight midvariance given precomputed median and MAD (> 0).
+    """Biweight midvariance given precomputed median and MAD.
 
-    Sums over ``values`` in the order given, the original sample order.  It
-    runs once per prefix of a trace scan, so it enters no ``np.errstate``:
-    a MAD near the underflow limit sends |u| to inf, outside the weights
-    |u| < 1 as it should, and the caller quiets that overflow.
+    With k = c * MAD and u = (x - med) / k, every point is weighted by
+    w = 1 - min(u^2, 1), in the order given, the original sample order; a
+    point with fl(u^2) >= 1 adds exact zeros, so the sums are the textbook
+    ones over |u| < 1.  d^2 w^4 is written k^2 min(u^2, 1) w^4 and
+    w (1 - 5u^2) as w (5w - 4), so no term is inf * 0 even where x - med
+    overflows, and the dimensionless ratio n sum(u^2 w^4) / sum(w (5w - 4))^2
+    is formed before it is scaled by k twice, so the result overflows only
+    where the variance does.  It underflows where it should not only when
+    u^2 does for every weighted point, k some 1e154 times their deviations.
+
+    Raises :class:`DegenerateScale` when the MAD is zero or the weight sum
+    in the denominator is zero (no point with |u| < 1, say), since the
+    variance is then undefined.  It runs once per prefix of a trace scan,
+    so it enters no ``np.errstate``: a MAD near the underflow limit sends
+    |u| to inf, outside the weights as it should, and the caller quiets
+    that overflow.
     """
-    dev = values - med
-    u2 = dev / (c * mad_val)
-    u2 *= u2  # fl(u * u) < 1 exactly when |u| < 1
-    inside = u2 < 1.0
-    d = dev[inside]
-    u2 = u2[inside]
-    w = 1.0 - u2
-    w2 = w * w  # two squarings: w ** 4 would call pow
-    num = values.size * _add(d * d * (w2 * w2))
-    den = _add(w * (1.0 - 5.0 * u2)) ** 2
-    return float(num / den)
+    if mad_val == 0.0:
+        raise DegenerateScale("MAD is zero; biweight weights are undefined")
+    k = c * mad_val
+    back = 1.0
+    if k == math.inf:
+        # c * MAD is past the float range: the same u, exactly, from the
+        # sample, median and MAD scaled by 2^-64, and the variance scaled
+        # back by 2^128
+        s = 2.0**-64
+        values, med, k, back = values * s, med * s, c * (mad_val * s), 2.0**128
+    m = values - med
+    m /= k
+    m *= m
+    np.minimum(m, 1.0, out=m)  # fl(u * u) < 1 exactly when |u| < 1
+    w = 1.0 - m
+    t = w * 5.0
+    t -= 4.0
+    t *= w
+    den = float(_add(t))
+    if den == 0.0:
+        raise DegenerateScale("biweight weights sum to zero; no point has |u| < 1")
+    w *= w
+    w *= w  # two squarings: w ** 4 would call pow
+    m *= w
+    return values.size * float(_add(m)) / (den * den) * k * k * back
 
 
 def _window_variance(w: np.ndarray) -> float:
@@ -164,17 +193,15 @@ def bmid_variance(values, config: BmidConfig | None = None) -> float:
     """Biweight midvariance with weight cutoff |U_i| < 1.
 
     Raises :class:`DegenerateScale` when the MAD is zero, since every weight
-    argument is then undefined; a constant sample carries no scale
-    information and callers that scan prefixes must decide how to proceed.
+    argument is then undefined, or when the denominator's weight sum is
+    zero; a constant sample carries no scale information and callers that
+    scan prefixes must decide how to proceed.
     """
     cfg = config if config is not None else BmidConfig()
     arr = _as_sample(values, min_len=2, what="BMID sample")
     med = _median_sorted(np.sort(arr))
-    mad_val = _mad_value(arr, med)
-    if mad_val == 0.0:
-        raise DegenerateScale("MAD is zero; biweight weights are undefined")
     with np.errstate(over="ignore"):
-        return _bmid_core(arr, med, mad_val, cfg.c)
+        return _bmid_core(arr, med, _mad_value(arr, med), cfg.c)
 
 
 def qcv_variance(values, bounds: QcvBounds | None = None) -> float:

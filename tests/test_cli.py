@@ -20,7 +20,6 @@ from hypothesis import strategies as st
 import scaleshift
 from scaleshift import (
     BenchConfig,
-    BmidConfig,
     ConfigError,
     CssTrace,
     DetectionResult,
@@ -29,7 +28,6 @@ from scaleshift import (
     NonPositiveForLog,
     OrientedTrace,
     ParseError,
-    QcvBounds,
     ScaleEstimatorSpec,
     StableSpec,
     TooShortAfterPreprocess,
@@ -640,6 +638,60 @@ class TestDetectCommand:
         # would report FileNotFound
         rc = main(["detect", "--input", str(tmp_path / "missing.csv"), *flags])
         assert _assert_error_contract(rc, capsys, error) == message
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--estimator", "classical", "--bmid-c", "0"],
+             "detect --estimator classical does not read --bmid-c"),
+            (["--estimator", "classical", "--qcv-a", "0.2", "--qcv-b", "0.8"],
+             "detect --estimator classical does not read --qcv-a, --qcv-b"),
+            (["--estimator", "qcv", "--bmid-c", "9", "--qcv-a", "0.2"],
+             "detect --estimator qcv does not read --bmid-c"),
+            (["--estimator", "bmid", "--qcv-a", "0.2"],
+             "detect --estimator bmid does not read --qcv-a"),
+            (["--qcv-b", "0.8"], "detect --estimator bmid does not read --qcv-b"),
+        ],
+        ids=["classical-c", "classical-ab", "qcv-c", "bmid-a", "default-b"],
+    )
+    def test_unread_estimator_constant_refused(self, tmp_path, flags, message,
+                                               capsys):
+        # another estimator's constant is refused, before the input is read
+        rc = main(["detect", "--input", str(tmp_path / "missing.csv"), *flags])
+        assert _assert_error_contract(rc, capsys, "ConfigError") == message
+
+    @pytest.mark.parametrize(
+        "flags, described",
+        [
+            ([], {"kind": "bmid", "location": "median", "c": 9.0}),
+            (["--bmid-c", "4.5"], {"kind": "bmid", "location": "median", "c": 4.5}),
+            (["--estimator", "qcv", "--qcv-b", "0.8"],
+             {"kind": "qcv", "location": "median", "a": 0.1, "b": 0.8}),
+            (["--estimator", "classical"], {"kind": "classical", "location": "mean"}),
+        ],
+        ids=["bmid-default", "bmid-c", "qcv-b", "classical"],
+    )
+    def test_estimator_constants_described(self, flags, described, capsys):
+        # a constant left unset takes the spec's default
+        rc = main(["detect", "--input", str(FIXTURES / "stable_up.csv"),
+                   "--column", "2", *flags])
+        assert rc == 0
+        assert json.loads(capsys.readouterr().out)["estimator"] == described
+
+    @pytest.mark.parametrize("c", ["0.5", "1"])
+    def test_empty_bmid_weights_are_degenerate_prefixes(self, tmp_path, c, capsys):
+        # with c <= 1 a prefix such as 0, 0, 2, 2 has a positive MAD and no
+        # point with |u| < 1; the scan substitutes variance 0 there, as for
+        # a zero MAD, so the trace stays finite and the detection runs
+        cells = [0, 0, 2, 2, 2, 0, 4, 0, 2, 6, 2, 0, 0, 2, 2, 4, 2, 0, 0, 2] * 3
+        path = _write(tmp_path, "ties.csv", "".join(f"{v}\n" for v in cells))
+        trace = tmp_path / "trace.csv"
+        rc = main(["detect", "--input", path, "--bmid-c", c,
+                   "--trace-csv", str(trace)])
+        assert rc == 0, capsys.readouterr().err
+        assert 2 <= json.loads(capsys.readouterr().out)["change_point"] <= 59
+        with open(trace, newline="") as fh:
+            assert all(math.isfinite(float(row[1])) for row in list(csv.reader(fh))[1:])
 
     def test_empty_step_list_still_preprocesses(self, tmp_path, capsys):
         # "," parses to no steps, and preprocess still asks for 8 points;
@@ -1535,9 +1587,11 @@ class TestLibraryDefaults:
         parser, _ = cli._build_parser()
         args = parser.parse_args(["detect", "--input", "x.csv"])
         kw = orient.__kwdefaults__
-        assert (args.bmid_c, args.qcv_a, args.qcv_b) == (
-            BmidConfig().c, QcvBounds().a, QcvBounds().b
-        )
+        # the estimator constants are unset, and each spec supplies its own
+        assert (args.bmid_c, args.qcv_a, args.qcv_b) == (None, None, None)
+        for kind in ("classical", "bmid", "qcv"):
+            args.estimator = kind
+            assert cli._estimator_from_args(args) == getattr(ScaleEstimatorSpec, kind)()
         assert (args.orientation, args.head_len, args.prefix_threshold) == (
             kw["orientation"], kw["head_len"], kw["threshold"]
         )

@@ -1,4 +1,6 @@
 """Unit tests for CSS traces, orientation, and the constant-prefix check."""
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -156,7 +158,8 @@ def _scan_cases(draw):
     scale = draw(st.sampled_from([1.0, 2.0**600, 2.0**-600]))
     spec = draw(
         st.one_of(
-            st.sampled_from([ScaleEstimatorSpec.bmid(9.0), ScaleEstimatorSpec.bmid(1.5)]),
+            # c <= 1 leaves some tie-heavy prefixes with no weight at all
+            st.sampled_from([9.0, 1.5, 1.0, 0.5]).map(ScaleEstimatorSpec.bmid),
             st.tuples(st.floats(0.01, 0.45), st.floats(0.55, 0.99)).map(
                 lambda ab: ScaleEstimatorSpec.qcv(*ab)
             ),
@@ -182,6 +185,22 @@ class TestScanMatchesOracle:
             slow = naive_css(x, spec)
         assert fast.values.tobytes() == slow.values.tobytes()
         assert fast.degenerate_prefixes == slow.degenerate_prefixes
+
+    @pytest.mark.parametrize("c", [0.5, 1.0])
+    def test_empty_weights_substitute_zero(self, c):
+        # prefixes 4, 6 and 8 have a positive MAD but no point with |u| < 1;
+        # both paths substitute variance 0 and record them, as they do for
+        # the zero MADs of prefixes 2, 3 and 5
+        x = np.array([0, 0, 2, 2, 2, 0, 4, 0, 2, 6, 2, 0, 0, 2, 2, 4, 2, 0, 0, 2.0])
+        spec = ScaleEstimatorSpec.bmid(c)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fast = robust_css(x, spec)
+            slow = naive_css(x, spec)
+        assert np.isfinite(fast.values).all()
+        assert fast.values.tobytes() == slow.values.tobytes()
+        assert fast.degenerate_prefixes == slow.degenerate_prefixes
+        assert fast.degenerate_prefixes == (2, 3, 4, 5, 6, 8)
 
 
 class TestStridedTrace:

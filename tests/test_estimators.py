@@ -1,6 +1,7 @@
 """Unit tests for the location and scale estimators."""
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -92,6 +93,22 @@ class TestMad:
         assert mad([0.0, 1.0, 2.0, 3.0, 4.0]) == 1.0
 
 
+def _textbook_bmid(values, c) -> Fraction:
+    """n sum d^2 (1 - u^2)^4 / (sum (1 - u^2)(1 - 5u^2))^2 over |u| < 1, with
+    d = x - med and u = d / (c MAD), exact about the float median and MAD."""
+    med = Fraction(sample_median(values))
+    k = Fraction(c) * Fraction(mad(values))
+    num = den = Fraction(0)
+    for x in values.tolist():
+        d = Fraction(x) - med
+        u2 = (d / k) ** 2
+        if u2 < 1:
+            w = 1 - u2
+            num += d * d * w**4
+            den += w * (1 - 5 * u2)
+    return len(values) * num / (den * den)
+
+
 class TestBmidVariance:
     def test_frozen_oracle_value(self):
         assert bmid_variance([1, 2, 3, 4, 5], BmidConfig(c=9.0)) == pytest.approx(
@@ -127,6 +144,50 @@ class TestBmidVariance:
         with pytest.raises(InsufficientLength):
             bmid_variance([3.0])
 
+    @pytest.mark.parametrize(
+        "values, c",
+        [([0, 0, 2, 2], 1.0), ([0, 0, 2, 2], 0.5), ([-3, -1, 1, 3], 0.5)],
+    )
+    def test_empty_weights_are_degenerate(self, values, c):
+        # the MAD is positive, but no point has |u| < 1, so both sums are
+        # empty and the variance is 0 / 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert mad(values) > 0.0
+            with pytest.raises(DegenerateScale):
+                bmid_variance(values, BmidConfig(c))
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_matches_exact_textbook_sums(self, seed):
+        # Gaussian, Cauchy and tie-heavy integer samples of 5..200 points
+        # at scales 2^-40..2^40, against the textbook sums over |u| < 1 in
+        # exact rational arithmetic about the same median and MAD
+        rng = make_rng(1000 + seed)
+        n = int(rng.integers(5, 201))
+        draw = (rng.standard_normal, rng.standard_cauchy,
+                lambda m: rng.integers(-20, 21, m).astype(float))[seed % 3]
+        x = draw(n) * 2.0 ** int(rng.integers(-40, 41))
+        for c in (9.0, 4.5, 2.0):
+            exact = _textbook_bmid(x, c)
+            assert abs(Fraction(bmid_variance(x, BmidConfig(c))) / exact - 1) < 1e-13
+
+    @pytest.mark.parametrize(
+        "x",
+        [
+            # the last point lies past the float range above the median, so
+            # it must add zeros to both sums, not inf * 0
+            np.append(-1e308 + np.arange(10) * 1e306, 1.7e308),
+            # c * MAD itself is past the float range
+            np.arange(-4.0, 5.0) * 3e307,
+        ],
+        ids=["deviation", "c-times-mad"],
+    )
+    def test_overflow_gives_inf(self, x):
+        # the variance itself, of order 1e612, overflows
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert bmid_variance(x) == math.inf
+
     @pytest.mark.parametrize("n", [4, 5])
     def test_subnormal_mad_is_quiet(self, n):
         # a MAD of 5e-324 sends |u| of the values of order 1 to inf, outside
@@ -147,6 +208,8 @@ class TestBmidVariance:
             BmidConfig(c=0.0)
         with pytest.raises(InvalidParameter):
             BmidConfig(c=-1.0)
+        with pytest.raises(InvalidParameter, match="finite"):
+            BmidConfig(c=math.inf)
 
 
 class TestQcvVariance:
