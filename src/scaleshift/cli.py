@@ -36,6 +36,7 @@ from .detect import (
     ORIENTATIONS,
     DetectionResult,
     _check_head_params,
+    _orientation_runs,
     detect_oriented,
     orient,
 )
@@ -474,20 +475,23 @@ _ESTIMATOR_FLAGS = {
     KIND_BMID: {"bmid_c": "c"},
     KIND_QCV: {"qcv_a": "a", "qcv_b": "b"},
 }
+# the options only the orientation test reads: flag dest -> orient argument
+_HEAD_FLAGS = {"head_len": "head_len", "prefix_threshold": "threshold"}
+
+
+def _given(args, flags) -> dict:
+    """``flags`` (dest -> argument) that are set, by argument name."""
+    return {
+        arg: getattr(args, dest)
+        for dest, arg in flags.items()
+        if getattr(args, dest) is not None
+    }
 
 
 def _estimator_from_args(args) -> ScaleEstimatorSpec:
     """The spec of ``args.estimator`` from the constants that are set; its
-    constructor supplies the others.  Another estimator's constant is a
-    :class:`ConfigError`."""
-    reads = _ESTIMATOR_FLAGS[args.estimator]
-    others = [d for flags in _ESTIMATOR_FLAGS.values() for d in flags if d not in reads]
-    _refuse_given(args, others, f"detect --estimator {args.estimator}")
-    given = {
-        arg: getattr(args, dest)
-        for dest, arg in reads.items()
-        if getattr(args, dest) is not None
-    }
+    constructor supplies the others."""
+    given = _given(args, _ESTIMATOR_FLAGS[args.estimator])
     return getattr(ScaleEstimatorSpec, args.estimator)(**given)
 
 
@@ -497,18 +501,19 @@ def _estimator_from_args(args) -> ScaleEstimatorSpec:
 def _cmd_detect(args) -> int:
     # every option is checked before the input is opened
     steps = parse_preprocess_spec(args.preprocess) if args.preprocess else None
+    _refuse_unread_flags(args)
     spec = _estimator_from_args(args)
-    _check_head_params(args.head_len, args.prefix_threshold)
+    # orient supplies the options that are not set
+    orient_kw = {
+        **orient.__kwdefaults__,
+        "orientation": args.orientation,
+        **_given(args, _HEAD_FLAGS),
+    }
+    _check_head_params(orient_kw["head_len"], orient_kw["threshold"])
     ts = ingest_csv(args.input, _parse_column(args.column))
     if steps is not None:
         ts = preprocess(ts, steps)
-    oriented = orient(
-        ts.values,
-        spec,
-        orientation=args.orientation,
-        head_len=args.head_len,
-        threshold=args.prefix_threshold,
-    )
+    oriented = orient(ts.values, spec, **orient_kw)
     result = detect_oriented(oriented, args.method)
     payload = {
         "change_point": result.change_point,
@@ -596,33 +601,34 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-# bench flags that describe one model's grid point; a preset brings its own
-_STABLE_FLAGS = _MODELS["stable"][1]
-_MIXTURE_FLAGS = _MODELS["mixture"][1]
-_GRID_FLAGS = ("model", *_STABLE_FLAGS, *_MIXTURE_FLAGS, "n", "cp", "n_list")
-
-
 def _refuse_unread_flags(args) -> None:
-    """Raise :class:`ConfigError` for a flag given to a ``simulate`` or
-    ``bench`` run that does not read it, instead of ignoring it: the other
-    model's flags, or with ``--preset`` every grid flag."""
-    other = _MIXTURE_FLAGS if args.model == "stable" else _STABLE_FLAGS
-    if args.command == "simulate":
-        unread, run = other, f"simulate {args.model}"
+    """Raise :class:`ConfigError` naming each flag given to a ``detect``,
+    ``simulate`` or ``bench`` run that does not read it, instead of
+    ignoring it: another estimator's constants, and the orientation options
+    where no orientation test runs; the other model's flags; or with
+    ``--preset`` every grid flag."""
+    if args.command == "detect":
+        run = f"detect --estimator {args.estimator}"
+        reads = _ESTIMATOR_FLAGS[args.estimator]
+        unread = [d for flags in _ESTIMATOR_FLAGS.values() for d in flags if d not in reads]
+        if not _orientation_runs(args.estimator != KIND_CLASSICAL, args.orientation):
+            unread += _HEAD_FLAGS
+            if args.orientation == "off" and _given(args, _HEAD_FLAGS):
+                run += " --orientation off"  # what leaves them unread
     else:
-        if args.preset:
-            unread, run = _GRID_FLAGS, f"--preset {args.preset}"
+        other = [f for m, (_, flags, _) in _MODELS.items() if m != args.model for f in flags]
+        if args.command == "simulate":
+            unread, run = other, f"simulate {args.model}"
         else:
-            unread, run = other, f"--model {args.model}"
-        # the timing study takes N from --n-list and cp = N // 2
-        unread += ("n_list",) if args.kind == "mae" else ("n", "cp", "detections_csv")
-        run = f"bench {args.kind} with {run}"
-    _refuse_given(args, unread, run)
-
-
-def _refuse_given(args, unread, run: str) -> None:
-    """Raise :class:`ConfigError` naming each flag of ``unread`` (dests)
-    that is set, because ``run`` does not read it."""
+            if args.preset:  # a preset brings its own grid
+                every = [f for _, flags, _ in _MODELS.values() for f in flags]
+                unread = ["model", *every, "n", "cp", "n_list"]
+                run = f"--preset {args.preset}"
+            else:
+                unread, run = other, f"--model {args.model}"
+            # the timing study takes N from --n-list and cp = N // 2
+            unread += ["n_list"] if args.kind == "mae" else ["n", "cp", "detections_csv"]
+            run = f"bench {args.kind} with {run}"
     given = [
         f"--{dest.replace('_', '-')}"
         for dest in dict.fromkeys(unread)
@@ -717,7 +723,6 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
         description="Offline scale change-point detection for heavy-tailed series",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    orient_kw = orient.__kwdefaults__  # the defaults that orient states
 
     p_det = sub.add_parser("detect", help="detect a scale change in a CSV series")
     p_det.add_argument("--config", help="flat key=value config file")
@@ -738,11 +743,12 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p_det.add_argument(
         "--orientation",
         choices=ORIENTATIONS,
-        default=orient_kw["orientation"],
+        default=orient.__kwdefaults__["orientation"],
         help="orientation correction; auto = on for robust estimators",
     )
-    p_det.add_argument("--head-len", type=int, default=orient_kw["head_len"])
-    p_det.add_argument("--prefix-threshold", type=float, default=orient_kw["threshold"])
+    # read only by the orientation test, so unset as the constants are
+    p_det.add_argument("--head-len", type=int)
+    p_det.add_argument("--prefix-threshold", type=float)
     p_det.add_argument("--output", help="write result JSON here (default stdout)")
     p_det.add_argument("--trace-csv", help="write n,css,statistic rows here")
     p_det.set_defaults(func=_cmd_detect)

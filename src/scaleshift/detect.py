@@ -106,6 +106,18 @@ def _require_finite(trace: CssTrace) -> None:
         )
 
 
+def _result(trace: CssTrace, method: str, s: np.ndarray, cp: int) -> DetectionResult:
+    """The detection of ``method`` at ``cp`` on ``trace``, whose statistic
+    is ``s``."""
+    return DetectionResult(
+        change_point=cp,
+        method=method,
+        statistic_trace=s,
+        statistic_at_cp=float(s[cp - 1]),
+        oriented=OrientedTrace(trace),
+    )
+
+
 def icss_detect(trace: CssTrace) -> DetectionResult:
     """Argmax of |S_n| with S_n = C_n/C_N - n/N over n in {2..N-1}.
 
@@ -129,14 +141,7 @@ def icss_detect(trace: CssTrace) -> DetectionResult:
             "ICSS statistic overflows float64 on this trace; rescale the series"
         ) from None
     interior = np.abs(s[1 : n_total - 1])
-    cp = 2 + int(np.argmax(interior))
-    return DetectionResult(
-        change_point=cp,
-        method=METHOD_ICSS,
-        statistic_trace=s,
-        statistic_at_cp=float(s[cp - 1]),
-        oriented=OrientedTrace(trace),
-    )
+    return _result(trace, METHOD_ICSS, s, 2 + int(np.argmax(interior)))
 
 
 def _ssr_from_stats(m, sy, sxy, syy):
@@ -243,14 +248,7 @@ def ols_detect(trace: CssTrace) -> DetectionResult:
         raise NonFiniteTrace(
             "OLS statistic overflows float64 on this trace; rescale the series"
         ) from None
-    cp = 2 + int(np.argmin(valid))
-    return DetectionResult(
-        change_point=cp,
-        method=METHOD_OLS,
-        statistic_trace=s,
-        statistic_at_cp=float(s[cp - 1]),
-        oriented=OrientedTrace(trace),
-    )
+    return _result(trace, METHOD_OLS, s, 2 + int(np.argmin(valid)))
 
 
 class Orientation(enum.Enum):
@@ -348,6 +346,13 @@ ORIENT_STRIDE = 16
 ORIENT_MIN_MARGIN = 0.5
 
 
+def _orientation_runs(is_robust: bool, orientation: str) -> bool:
+    """Whether :func:`orient` tests the orientation: ``"on"``, or
+    ``"auto"`` with a robust spec.  Only that test reads ``head_len`` and
+    ``threshold``."""
+    return orientation == "on" or (orientation == "auto" and is_robust)
+
+
 def orient(
     values,
     spec: ScaleEstimatorSpec | None = None,
@@ -387,7 +392,7 @@ def orient(
             f"orientation must be one of {ORIENTATIONS}, got {orientation!r}"
         )
     _check_head_params(head_len, threshold)
-    if orientation == "off" or (orientation == "auto" and not spec.is_robust):
+    if not _orientation_runs(spec.is_robust, orientation):
         if not spec.is_robust:
             return OrientedTrace(classical_css(values))
         return OrientedTrace(robust_css(values, spec))
@@ -411,15 +416,6 @@ def orient(
     return OrientedTrace(forward, constant_prefix_fallback=convex)
 
 
-def _detector(method: str):
-    # Resolved by name at call time, so a patched module attribute is used.
-    if method == METHOD_ICSS:
-        return icss_detect
-    if method == METHOD_OLS:
-        return ols_detect
-    raise InvalidParameter(f"unknown method {method!r}")
-
-
 def detect_oriented(oriented: OrientedTrace, method: str) -> DetectionResult:
     """Run ICSS or OLS on an oriented trace and map the index back to the
     original order.
@@ -427,7 +423,14 @@ def detect_oriented(oriented: OrientedTrace, method: str) -> DetectionResult:
     The reversal mapping is n -> N - n + 1; it is applied only when the
     detection actually ran on the reversed trace.
     """
-    raw = _detector(method)(oriented.trace)
+    # each detector is looked up on the module when it runs, so a patched
+    # module attribute is the one called
+    if method == METHOD_ICSS:
+        raw = icss_detect(oriented.trace)
+    elif method == METHOD_OLS:
+        raw = ols_detect(oriented.trace)
+    else:
+        raise InvalidParameter(f"unknown method {method!r}")
     cp = raw.change_point
     if oriented.reversed_applied:
         cp = oriented.trace.source_length - cp + 1

@@ -156,10 +156,16 @@ def _bmid_core(values: np.ndarray, med: float, mad_val: float, c: float) -> floa
 
 def _window_variance(w: np.ndarray) -> float:
     """Mean squared deviation over the QCV window ``w``, a run of sorted
-    order statistics (QCV inner kernel)."""
+    order statistics (QCV inner kernel).
+
+    The window is finite, so the result is NaN only where its sum
+    overflows both ways, inf - inf; the variance then overflows too, and
+    inf is returned.  It runs once per prefix of a trace scan, so it
+    enters no ``np.errstate``: the caller quiets the overflow."""
     m = w.size
     d = w - _add(w) / m
-    return float(_add(d * d) / m)
+    var = float(_add(d * d) / m)
+    return var if var == var else math.inf
 
 
 def sample_mean(values) -> float:
@@ -186,7 +192,8 @@ def mad(values) -> float:
     """Raw median absolute deviation from the sample median."""
     arr = _as_sample(values)
     med = _median_sorted(np.sort(arr))
-    return _mad_value(arr, med)
+    with np.errstate(over="ignore"):  # a deviation past the float range is inf
+        return _mad_value(arr, med)
 
 
 def bmid_variance(values, config: BmidConfig | None = None) -> float:
@@ -208,7 +215,8 @@ def qcv_variance(values, bounds: QcvBounds | None = None) -> float:
     """Quantile conditional variance over the order-statistic window.
 
     With window ranks floor(N*a)+1 .. floor(N*b) (1-based), returns the mean
-    squared deviation of those order statistics around their own mean.
+    squared deviation of those order statistics around their own mean, or
+    inf, quietly, where that overflows.
     """
     b = bounds if bounds is not None else QcvBounds()
     arr = _as_sample(values, what="QCV sample")
@@ -218,4 +226,5 @@ def qcv_variance(values, bounds: QcvBounds | None = None) -> float:
             f"QCV window [{b.a}, {b.b}] keeps {hi - lo} of {arr.size} points; "
             "need at least 2"
         )
-    return _window_variance(np.sort(arr)[lo:hi])
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _window_variance(np.sort(arr)[lo:hi])

@@ -661,6 +661,79 @@ class TestDetectCommand:
         assert _assert_error_contract(rc, capsys, "ConfigError") == message
 
     @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--orientation", "off", "--head-len", "50"],
+             "detect --estimator bmid --orientation off does not read --head-len"),
+            (["--estimator", "classical", "--prefix-threshold", "0.1"],
+             "detect --estimator classical does not read --prefix-threshold"),
+            (["--estimator", "qcv", "--orientation", "off", "--head-len", "3",
+              "--prefix-threshold", "0.1"],
+             "detect --estimator qcv --orientation off does not read "
+             "--head-len, --prefix-threshold"),
+            (["--estimator", "classical", "--orientation", "off", "--bmid-c", "1",
+              "--head-len", "3"],
+             "detect --estimator classical --orientation off does not read "
+             "--bmid-c, --head-len"),
+            # an invalid value the run would not read is refused as unread
+            (["--orientation", "off", "--head-len", "0"],
+             "detect --estimator bmid --orientation off does not read --head-len"),
+        ],
+        ids=["off-head-len", "classical-threshold", "qcv-off-both",
+             "classical-off-c-and-head-len", "off-invalid-head-len"],
+    )
+    def test_unread_orientation_option_refused(self, tmp_path, flags, message,
+                                               capsys):
+        # the orientation options are read only where the orientation test
+        # runs: --orientation on, or auto with a robust estimator
+        rc = main(["detect", "--input", str(tmp_path / "missing.csv"), *flags])
+        assert _assert_error_contract(rc, capsys, "ConfigError") == message
+
+    @pytest.mark.parametrize(
+        "config, flags, message",
+        [
+            ("orientation = off\nhead-len = 50\n", [],
+             "detect --estimator bmid --orientation off does not read --head-len"),
+            ("prefix-threshold = 0.1\n", ["--estimator", "classical"],
+             "detect --estimator classical does not read --prefix-threshold"),
+        ],
+        ids=["off-head-len", "classical-threshold"],
+    )
+    def test_unread_orientation_option_from_config_refused(
+        self, tmp_path, config, flags, message, capsys
+    ):
+        cfg = _write(tmp_path, "detect.cfg", config)
+        rc = main(["detect", "--input", str(FIXTURES / "stable_up.csv"),
+                   "--column", "2", "--config", cfg, *flags])
+        assert _assert_error_contract(rc, capsys, "ConfigError") == message
+
+    @pytest.mark.parametrize(
+        "flags, spec, orientation",
+        [
+            (["--orientation", "on", "--estimator", "classical"],
+             ScaleEstimatorSpec.classical(), "on"),
+            ([], ScaleEstimatorSpec.bmid(), "auto"),
+        ],
+        ids=["classical-on", "bmid-auto"],
+    )
+    def test_read_orientation_option_accepted(self, flags, spec, orientation,
+                                              capsys):
+        path = str(FIXTURES / "stable_up.csv")
+        rc = main(["detect", "--input", path, "--column", "2", "--head-len", "7",
+                   "--prefix-threshold", "0.1", *flags])
+        assert rc == 0
+        payload = json.loads(capsys.readouterr().out)
+        res = detect_oriented(
+            orient(ingest_csv(path, 2).values, spec, orientation=orientation,
+                   head_len=7, threshold=0.1),
+            "icss",
+        )
+        assert (payload["change_point"], payload["statistic_at_cp"]) == (
+            res.change_point, res.statistic_at_cp)
+        assert payload["reversed_applied"] is res.reversed_applied
+        assert payload["constant_prefix_fallback"] is res.constant_prefix_fallback
+
+    @pytest.mark.parametrize(
         "flags, described",
         [
             ([], {"kind": "bmid", "location": "median", "c": 9.0}),
@@ -1592,8 +1665,9 @@ class TestLibraryDefaults:
         for kind in ("classical", "bmid", "qcv"):
             args.estimator = kind
             assert cli._estimator_from_args(args) == getattr(ScaleEstimatorSpec, kind)()
+        # the orientation options are unset, and orient supplies its own
         assert (args.orientation, args.head_len, args.prefix_threshold) == (
-            kw["orientation"], kw["head_len"], kw["threshold"]
+            kw["orientation"], None, None
         )
 
     @pytest.mark.parametrize(

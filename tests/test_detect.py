@@ -451,6 +451,28 @@ class TestOrient:
         with pytest.raises(InvalidParameter):
             detect_oriented(orient(_spiky_tail()), "cusum")
 
+    @pytest.mark.parametrize("orientation", ["auto", "on", "off"])
+    @pytest.mark.parametrize(
+        "spec",
+        [ScaleEstimatorSpec.classical(), ScaleEstimatorSpec.bmid(),
+         ScaleEstimatorSpec.qcv()],
+        ids=["classical", "bmid", "qcv"],
+    )
+    def test_orientation_runs_where_orient_reads_head_len(self, spec, orientation):
+        # only the orientation test needs head_len + 2 points, so a head as
+        # long as the series is refused exactly where that test runs
+        x = _two_regime_gaussian(n=40, cp=20)
+        try:
+            orient(x, spec, orientation=orientation, head_len=x.size)
+        except InsufficientLength:
+            tested = True
+        else:
+            tested = False
+        assert detect_module._orientation_runs(spec.is_robust, orientation) is tested
+        assert tested is (
+            orientation == "on" or (orientation == "auto" and spec.is_robust)
+        )
+
 
 class TestOrientationChoice:
     """``orient`` decides trace and order for every spec: orientation runs

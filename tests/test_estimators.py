@@ -92,6 +92,14 @@ class TestMad:
         # raw median of absolute deviations, no consistency factor
         assert mad([0.0, 1.0, 2.0, 3.0, 4.0]) == 1.0
 
+    def test_overflowing_deviation_is_quiet(self):
+        # the last deviation from the median is past the float range: it is
+        # inf and sorts last, as a large finite one does
+        x = np.append(-1e308 + np.arange(10) * 1e306, 1.7e308)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert mad(x) == mad(np.append(x[:-1], 1e307))
+
 
 def _textbook_bmid(values, c) -> Fraction:
     """n sum d^2 (1 - u^2)^4 / (sum (1 - u^2)(1 - 5u^2))^2 over |u| < 1, with
@@ -228,6 +236,22 @@ class TestQcvVariance:
         wild = base.copy()
         wild[0], wild[-1] = -1e9, 1e9
         assert qcv_variance(wild) == qcv_variance(base)
+
+    @pytest.mark.parametrize(
+        "x",
+        [
+            # the window's sum overflows both ways, to inf - inf
+            np.repeat([-1e307, 1e307], 160),
+            # the squared deviations overflow
+            np.arange(1.0, 11.0) * 1e160,
+        ],
+        ids=["sum", "squares"],
+    )
+    def test_overflow_gives_inf(self, x):
+        # the variance itself overflows; the result is inf, never NaN
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert qcv_variance(x) == math.inf
 
     def test_window_too_small(self):
         with pytest.raises(WindowTooSmall) as exc:
