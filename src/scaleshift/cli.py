@@ -166,12 +166,11 @@ def _read_column(path, column, *, bulk: bool) -> np.ndarray | None:
     if col_idx is not None and col_idx < 0:
         raise ConfigError(f"column index must be >= 1, got {column}")
     values = []
-    with open(path, newline="") as fh:
+    # utf-8-sig skips one byte-order mark, whatever the locale
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv_mod.reader(fh)
         first = True  # no non-blank row seen yet
         try:
-            if fh.read(1) != "\ufeff":  # skip one byte-order mark
-                fh.seek(0)
             for row in reader:
                 # Fast path for the common row: a finite number in the
                 # column.  IndexError is a short row, TypeError a header
@@ -409,17 +408,15 @@ def _load_config_args(path, options) -> list[str]:
     value is passed verbatim as that option's argument."""
     args: list[str] = []
     try:
-        fh = open(path)
+        fh = open(path, encoding="utf-8-sig")  # one byte-order mark skipped
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}") from None
     with fh:
         try:
-            if fh.read(1) != "\ufeff":  # skip one byte-order mark
-                fh.seek(0)
             lines = fh.readlines()
         except UnicodeDecodeError as exc:
             raise ConfigError(
-                f"config file {path} is not {fh.encoding} text: {exc.reason}"
+                f"config file {path} is not UTF-8 text: {exc.reason}"
             ) from None
         for lineno, raw in enumerate(lines, start=1):
             line = raw.strip()
@@ -782,7 +779,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
 
 def _inject_config(argv: list[str], commands: dict) -> list[str]:
     """Expand ``--config FILE`` or ``--config=FILE`` into the file's flags,
-    placed before the explicit flags."""
+    placed right after the subcommand word, before the explicit flags."""
     for i, token in enumerate(argv):
         if token == "--config" or token.startswith("--config="):
             break
@@ -796,11 +793,7 @@ def _inject_config(argv: list[str], commands: dict) -> list[str]:
         path, rest = token.partition("=")[2], argv[:i] + argv[i + 1 :]
     if any(t == "--config" or t.startswith("--config=") for t in rest):
         raise ConfigError("--config given more than once")
-    # keep the subcommand words in front, then config args, then user flags
-    j = 0
-    while j < len(rest) and not rest[j].startswith("-"):
-        j += 1
-    sub = commands.get(rest[0]) if j else None
+    sub = commands.get(rest[0]) if rest else None
     if sub is None:
         return argv  # no subcommand to read the file for; argparse says so
     options = {
@@ -809,7 +802,8 @@ def _inject_config(argv: list[str], commands: dict) -> list[str]:
         if action.dest not in ("help", "config")
         for s in action.option_strings
     }
-    return rest[:j] + _load_config_args(path, options) + rest[j:]
+    # argparse reads a subcommand's options before its positional too
+    return rest[:1] + _load_config_args(path, options) + rest[1:]
 
 
 def main(argv=None) -> int:

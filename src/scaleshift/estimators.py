@@ -158,14 +158,30 @@ def _window_variance(w: np.ndarray) -> float:
     """Mean squared deviation over the QCV window ``w``, a run of sorted
     order statistics (QCV inner kernel).
 
-    The window is finite, so the result is NaN only where its sum
-    overflows both ways, inf - inf; the variance then overflows too, and
-    inf is returned.  It runs once per prefix of a trace scan, so it
-    enters no ``np.errstate``: the caller quiets the overflow."""
+    A finite result of the two-pass formula is returned as it is.  That
+    formula also overflows where only the window's sum or one squared
+    deviation does (``np.full(10, 1e308)`` sums to inf); there the
+    deviations about the window's middle order statistic are halved,
+    scaled into [-1, 1] by a power of two, squared and scaled back, so
+    the result is inf only where the variance itself overflows.  It runs
+    once per prefix of a trace scan, so it enters no ``np.errstate``: the
+    caller quiets the two-pass formula's overflow, and the rescue raises
+    none."""
     m = w.size
     d = w - _add(w) / m
     var = float(_add(d * d) / m)
-    return var if var == var else math.inf
+    if var < math.inf:
+        return var
+    # halved, no difference of two window values overflows
+    h = w * 0.5
+    d = h - h[m >> 1]
+    p = math.frexp(max(-d[0], d[-1]))[1]  # |d| < 2^p, or d is all zero
+    d *= math.ldexp(1.0, -p)
+    d -= _add(d) / m
+    try:
+        return math.ldexp(float(_add(d * d) / m), 2 * p + 2)
+    except OverflowError:  # the variance is past the float range
+        return math.inf
 
 
 def sample_mean(values) -> float:

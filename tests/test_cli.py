@@ -1231,6 +1231,28 @@ class TestConfigFile:
         assert str(cfg) in message
 
 
+class TestConfigFlagOrder:
+    """The config file's flags go right after the subcommand word, so an
+    explicit flag wins wherever it stands, before or after the positional."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate", "--seed", "5", "--config", "CFG", "stable"],
+            ["simulate", "--config", "CFG", "--seed", "5", "stable"],
+            ["simulate", "--config", "CFG", "stable", "--seed", "5"],
+            ["--config", "CFG", "simulate", "stable", "--seed", "5"],
+        ],
+    )
+    def test_explicit_flag_wins(self, tmp_path, argv, capsys):
+        cfg = _write(tmp_path, "run.cfg", "seed = 3\nn = 30\ncp = 15\n")
+        assert main([cfg if a == "CFG" else a for a in argv]) == 0
+        from_config = capsys.readouterr().out
+        assert main(["simulate", "stable", "--seed", "5", "--n", "30",
+                     "--cp", "15"]) == 0
+        assert from_config == capsys.readouterr().out
+
+
 class TestUsageErrors:
     """argparse usage errors follow the error contract: ``main`` returns 2
     and writes one ConfigError JSON line to stderr."""
@@ -1725,6 +1747,50 @@ class TestLibraryDefaults:
         assert message == "trials must be >= 1, got 0"
 
 
+_RUN_MAIN = "import sys; from scaleshift.cli import main; sys.exit(main())"
+
+
+def _cli_env(**extra):
+    """This process's environment, with this package's source first on
+    PYTHONPATH and ``extra`` set, for running the CLI in a subprocess."""
+    env = dict(os.environ, **extra)
+    src = str(Path(scaleshift.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+class TestLocaleIndependentText:
+    """CSV inputs and config files are read as UTF-8, one leading
+    byte-order mark skipped, whatever the locale's encoding."""
+
+    @pytest.mark.parametrize("with_config", [False, True], ids=["csv", "config"])
+    def test_ascii_locale_reads_the_utf8_run(self, tmp_path, with_config):
+        series = tmp_path / "bom.csv"
+        rng = np.random.default_rng(24)
+        values = np.repeat([1.0, 3.0], 60) * rng.standard_normal(120)
+        rows = "".join(f"{i},{v!r}\n" for i, v in enumerate(values.tolist()))
+        series.write_bytes(("\ufeffjour,température\n" + rows).encode())
+        argv = ["detect", "--input", str(series)]
+        if with_config:
+            cfg = tmp_path / "bom.cfg"
+            cfg.write_bytes("\ufeff# relevé\ncolumn = 2\nestimator = qcv\n".encode())
+            argv += ["--config", str(cfg)]
+        else:
+            argv += ["--column", "2"]
+        runs = [
+            subprocess.run([sys.executable, "-c", _RUN_MAIN, *argv],
+                           capture_output=True, env=_cli_env(**locale), timeout=120)
+            for locale in (
+                {"PYTHONUTF8": "1"},
+                {"LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"},
+            )
+        ]
+        for run in runs:
+            assert (run.returncode, run.stderr) == (0, b"")
+        assert runs[0].stdout == runs[1].stdout
+        assert json.loads(runs[0].stdout)["n"] == 120
+
+
 class TestClosedStdout:
     """A reader that stops reading early ends the run with status 0 and an
     empty stderr."""
@@ -1745,13 +1811,9 @@ class TestClosedStdout:
         ids=["simulate", "bench", "trace-csv"],
     )
     def test_reader_closes_after_one_line(self, argv):
-        env = dict(os.environ)
-        src = str(Path(scaleshift.__file__).resolve().parents[1])
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        run = "import sys; from scaleshift.cli import main; sys.exit(main())"
         with subprocess.Popen(
-            [sys.executable, "-c", run, *argv],
-            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+            [sys.executable, "-c", _RUN_MAIN, *argv],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_cli_env(),
         ) as proc:
             assert proc.stdout.readline()
             proc.stdout.close()

@@ -253,6 +253,46 @@ class TestQcvVariance:
             warnings.simplefilter("error")
             assert qcv_variance(x) == math.inf
 
+    @pytest.mark.parametrize("n, x", [(10, 1e308), (300, 1.7e308)])
+    def test_only_the_sum_overflows(self, n, x):
+        # the window's sum is past the float range, its variance is 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert qcv_variance(np.full(n, x)) == 0.0
+
+    def test_near_limit_windows_match_exact_value(self):
+        # samples whose window sum or squared deviations overflow, though
+        # the variance may not: the result is the exact variance, rounded,
+        # or inf where that is past the float range
+        rng = make_rng(24)
+        top = Fraction(np.finfo(float).max)
+        for i in range(400):
+            n = int(rng.integers(5, 41))
+            kind = i % 4
+            if kind == 0:  # one huge level and, below it, one extreme value
+                x = np.full(n, rng.uniform(0.1, 1.0) * 1.79e308)
+                x[0] = -1.79e308
+            elif kind == 1:  # a spread across the whole float range
+                x = rng.uniform(-1.0, 1.0, n) * 1.79e308
+            elif kind == 2:  # two levels some 1e154 apart
+                high = rng.random(n) < rng.uniform(0.2, 0.5)
+                x = high * 10.0 ** rng.uniform(153, 155)
+            else:  # every value near the limit
+                x = rng.uniform(0.5, 1.0, n) * 1.79e308
+            lo, hi = QcvBounds().window(n)
+            w = [Fraction(v) for v in np.sort(x)[lo:hi]]
+            mean = sum(w) / len(w)
+            exact = sum((v - mean) ** 2 for v in w) / len(w)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = qcv_variance(x)
+            if exact > top:
+                assert got == math.inf
+            elif exact:
+                assert abs(Fraction(got) / exact - 1) < 1e-10
+            else:
+                assert got == 0.0
+
     def test_window_too_small(self):
         with pytest.raises(WindowTooSmall) as exc:
             qcv_variance([1.0, 2.0], QcvBounds(0.4, 0.6))
