@@ -187,6 +187,14 @@ def _grid_label(spec) -> str:
     return " ".join(f"{k}={v}" for k, v in _grid_fields(spec))
 
 
+def _trial_series(spec, base_seed: int, count: int):
+    """The seeds of trials 0..count-1 at grid point ``spec``, and a
+    generator that draws their series one at a time."""
+    gp = grid_point_id(spec)
+    seeds = tuple(trial_seed(base_seed, gp, t) for t in range(count))
+    return seeds, (_generate(dataclasses.replace(spec, seed=s))[0] for s in seeds)
+
+
 def run_mae_study(cfg: BenchConfig) -> MaeReport:
     """MAE per (grid point, method) over seeded trials.
 
@@ -204,15 +212,11 @@ def run_mae_study(cfg: BenchConfig) -> MaeReport:
         groups.setdefault(method.estimator, []).append(i)
     rows = []
     for spec in cfg.grid:
-        gp = grid_point_id(spec)
         truth = spec.cp - 1
-        seeds = tuple(
-            trial_seed(cfg.base_seed, gp, t) for t in range(cfg.trials)
-        )
+        seeds, series = _trial_series(spec, cfg.base_seed, cfg.trials)
         detections = [[] for _ in cfg.methods]
         failures = [[] for _ in cfg.methods]
-        for t, s in enumerate(seeds):
-            x, _ = _generate(dataclasses.replace(spec, seed=s))
+        for t, x in enumerate(series):
             for estimator, group in groups.items():
                 try:
                     oriented = orient(x, estimator)
@@ -306,18 +310,10 @@ def run_timing_study(cfg: BenchConfig) -> TimingReport:
         raise ConfigError("timing lengths must span at least one decade")
     template = cfg.grid[0]
     rows = []
-    per_method: dict[str, list[tuple[int, float]]] = {
-        m.label: [] for m in cfg.methods
-    }
     for n in ns:
         spec_n = dataclasses.replace(template, N=n, cp=n // 2)
-        gp = grid_point_id(spec_n)
-        series = []
-        for t in range(cfg.trials + 1):  # slot 0 is the warm-up
-            x, _ = _generate(
-                dataclasses.replace(spec_n, seed=trial_seed(cfg.base_seed, gp, t))
-            )
-            series.append(x)
+        # trial 0 is the warm-up
+        series = list(_trial_series(spec_n, cfg.base_seed, cfg.trials + 1)[1])
         for method in cfg.methods:
             times = []
             for t, x in enumerate(series):
@@ -327,26 +323,24 @@ def run_timing_study(cfg: BenchConfig) -> TimingReport:
                 if t > 0:
                     times.append(elapsed)
             times_sorted = sorted(times)
-            med = float(np.median(times_sorted))
             ranks = median_ci_ranks(len(times_sorted))
             lo, hi = ranks if ranks else (1, len(times_sorted))
             rows.append(
                 TimingRow(
                     n=n,
                     method=method.label,
-                    median_seconds=med,
+                    median_seconds=float(np.median(times_sorted)),
                     ci_low=times_sorted[lo - 1],
                     ci_high=times_sorted[hi - 1],
                     times=tuple(times),
                 )
             )
-            per_method[method.label].append((n, med))
     exponents = []
-    for label, points in per_method.items():
-        logn = np.log([p[0] for p in points])
-        logt = np.log([p[1] for p in points])
-        beta = float(np.polyfit(logn, logt, 1)[0])
-        exponents.append((label, beta))
+    for label in dict.fromkeys(m.label for m in cfg.methods):
+        own = [r for r in rows if r.method == label]
+        logn = np.log([r.n for r in own])
+        logt = np.log([r.median_seconds for r in own])
+        exponents.append((label, float(np.polyfit(logn, logt, 1)[0])))
     return TimingReport(
         trials=cfg.trials,
         base_seed=cfg.base_seed,

@@ -360,22 +360,30 @@ def _mixture_grid(ratios_omega2s):
 
 _FULL_SCALES = (0.2, 0.25, 0.33, 0.5, 2.0, 3.0, 4.0, 5.0)
 _TIMING_GRID = (MixtureSpec(omega2=5.0, nu=15.0, p=0.05, N=1000),)
-# name -> (grid, robust methods only, trials, n_list); '-desk' presets are
-# CI-scale reductions of the '-full' ones
+_METHODS = bench_mod.default_methods()
+_ROBUST_METHODS = tuple(m for m in _METHODS if m.estimator.is_robust)
+# at base seed 0; '-desk' presets are CI-scale reductions of the '-full' ones
 _PRESETS = {
-    "stable-desk": (_stable_grid((1.1, 2.0), (0.2, 3.0, 5.0)), False, 50, ()),
-    "stable-full": (_stable_grid((1.1, 1.9, 2.0), _FULL_SCALES), False, 100, ()),
-    "mixture-desk": (
-        _mixture_grid(((5.0, 2.0), (5.0, 5.0), (1.5, 0.5))), False, 50, ()
+    "stable-desk": bench_mod.BenchConfig(
+        _stable_grid((1.1, 2.0), (0.2, 3.0, 5.0)), _METHODS, trials=50
     ),
-    "mixture-full": (
+    "stable-full": bench_mod.BenchConfig(
+        _stable_grid((1.1, 1.9, 2.0), _FULL_SCALES), _METHODS, trials=100
+    ),
+    "mixture-desk": bench_mod.BenchConfig(
+        _mixture_grid(((5.0, 2.0), (5.0, 5.0), (1.5, 0.5))), _METHODS, trials=50
+    ),
+    "mixture-full": bench_mod.BenchConfig(
         _mixture_grid([(r, w) for r in (1.5, 5.0) for w in _FULL_SCALES]),
-        False, 100, (),
+        _METHODS, trials=100,
     ),
-    "timing-desk": (_TIMING_GRID, True, 6, (100, 200, 400, 800, 1600, 3200, 5000)),
-    "timing-full": (
-        _TIMING_GRID, True, 20,
-        (
+    "timing-desk": bench_mod.BenchConfig(
+        _TIMING_GRID, _ROBUST_METHODS, trials=6,
+        n_list=(100, 200, 400, 800, 1600, 3200, 5000),
+    ),
+    "timing-full": bench_mod.BenchConfig(
+        _TIMING_GRID, _ROBUST_METHODS, trials=20,
+        n_list=(
             40, 50, 60, 70, 100, 200, 250, 300, 350, 400, 450, 500, 550,
             600, 650, 700, 750, 800, 850, 900, 950, 1000, 1500, 2000, 5000,
         ),
@@ -384,18 +392,10 @@ _PRESETS = {
 
 
 def build_preset(name: str, base_seed: int) -> bench_mod.BenchConfig:
-    """The named benchmark configuration of ``_PRESETS``."""
-    try:
-        grid, robust_only, trials, n_list = _PRESETS[name]
-    except KeyError:
-        raise ConfigError(f"unknown preset {name!r}") from None
-    methods = bench_mod.default_methods()
-    if robust_only:
-        methods = tuple(m for m in methods if m.estimator.is_robust)
-    return bench_mod.BenchConfig(
-        grid=grid, methods=methods, trials=trials, base_seed=base_seed,
-        n_list=n_list,
-    )
+    """The named benchmark configuration of ``_PRESETS`` at ``base_seed``."""
+    if name not in _PRESETS:
+        raise ConfigError(f"unknown preset {name!r}")
+    return dataclasses.replace(_PRESETS[name], base_seed=base_seed)
 
 
 # --------------------------------------------------------------------------
@@ -578,7 +578,13 @@ def _parse_column(raw: str):
     try:
         return int(raw)
     except ValueError:
-        return raw
+        pass
+    # argv undecodable in the locale arrives with surrogate escapes; the
+    # file is read as UTF-8, so the name is too
+    try:
+        return raw.encode("utf-8", "surrogateescape").decode("utf-8")
+    except UnicodeError:
+        raise ConfigError(f"--column name {raw!r} is not UTF-8 text") from None
 
 
 def _cmd_simulate(args) -> int:

@@ -361,6 +361,44 @@ class TestRunTimingStudy:
         assert len(rep.exponents) == 1
         assert len(rep.rows[0].times) == 3  # warm-up discarded
 
+    def test_times_of_a_fake_clock(self, monkeypatch):
+        # each detection takes c * N**2 times the next factor: 100 for the
+        # warm-up, then 1..9 shuffled, so with the warm-up dropped the median
+        # is 5 and the 95 % ranks (2, 8); c is a power of two, so every time
+        # is exact
+        c = 2.0 ** -30
+        factors = [100, 5, 3, 8, 1, 9, 2, 7, 4, 6]
+        clock = [0.0, 0]  # now, detections so far
+
+        def detect(values):
+            clock[0] += c * values.size ** 2 * factors[clock[1] % len(factors)]
+            clock[1] += 1
+            return 2
+
+        _fake_pipeline(monkeypatch, detect)
+        monkeypatch.setattr(
+            scaleshift.bench, "time", SimpleNamespace(perf_counter=lambda: clock[0])
+        )
+        cfg = dataclasses.replace(
+            self._cfg((20, 40, 80, 120, 200)),
+            methods=(Method("icss", ScaleEstimatorSpec.qcv()),
+                     Method("ols", ScaleEstimatorSpec.bmid())),
+            trials=9,
+        )
+        rep = run_timing_study(cfg)
+        assert [
+            (r.n, r.method, r.median_seconds, r.ci_low, r.ci_high, r.times)
+            for r in rep.rows
+        ] == [
+            (n, label, 5 * c * n * n, 2 * c * n * n, 8 * c * n * n,
+             tuple(f * c * n * n for f in factors[1:]))
+            for n in (20, 40, 80, 120, 200)
+            for label in ("ICSS[QCV]", "OLS[BMID]")
+        ]
+        assert [label for label, _ in rep.exponents] == ["ICSS[QCV]", "OLS[BMID]"]
+        for _, beta in rep.exponents:
+            assert beta == pytest.approx(2.0, abs=1e-12)
+
 
 class TestWriters:
     def test_mae_csv_round_trip(self, tmp_path):

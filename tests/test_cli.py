@@ -628,9 +628,12 @@ class TestDetectCommand:
             (["--prefix-threshold", "nan"], "InvalidParameter",
              "threshold must be in [0, 1], got nan"),
             (["--column", "0"], "ConfigError", "column index must be >= 1, got 0"),
+            # how argv carries a name whose bytes are not UTF-8
+            (["--column", "temp\udce9"], "ConfigError",
+             "--column name 'temp\\udce9' is not UTF-8 text"),
         ],
         ids=["preprocess", "bmid-c", "qcv-bounds", "head-len", "prefix-threshold",
-             "column"],
+             "column", "column-name"],
     )
     def test_bad_option_refused_before_reading(self, tmp_path, flags, error,
                                                message, capsys):
@@ -1760,23 +1763,27 @@ def _cli_env(**extra):
 
 
 class TestLocaleIndependentText:
-    """CSV inputs and config files are read as UTF-8, one leading
-    byte-order mark skipped, whatever the locale's encoding."""
+    """CSV inputs, config files and ``--column`` names are read as UTF-8,
+    one leading byte-order mark skipped, whatever the locale's encoding."""
 
-    @pytest.mark.parametrize("with_config", [False, True], ids=["csv", "config"])
-    def test_ascii_locale_reads_the_utf8_run(self, tmp_path, with_config):
+    # argv as bytes, so the name reaches the child as UTF-8 in any locale
+    @pytest.mark.parametrize(
+        "column", [b"2", "température".encode(), None],
+        ids=["csv", "column-name", "config"],
+    )
+    def test_ascii_locale_reads_the_utf8_run(self, tmp_path, column):
         series = tmp_path / "bom.csv"
         rng = np.random.default_rng(24)
         values = np.repeat([1.0, 3.0], 60) * rng.standard_normal(120)
         rows = "".join(f"{i},{v!r}\n" for i, v in enumerate(values.tolist()))
         series.write_bytes(("\ufeffjour,température\n" + rows).encode())
         argv = ["detect", "--input", str(series)]
-        if with_config:
+        if column is None:
             cfg = tmp_path / "bom.cfg"
             cfg.write_bytes("\ufeff# relevé\ncolumn = 2\nestimator = qcv\n".encode())
             argv += ["--config", str(cfg)]
         else:
-            argv += ["--column", "2"]
+            argv += ["--column", column]
         runs = [
             subprocess.run([sys.executable, "-c", _RUN_MAIN, *argv],
                            capture_output=True, env=_cli_env(**locale), timeout=120)
