@@ -12,12 +12,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateScale, InvalidParameter
+from .errors import InvalidParameter
 from .estimators import (
     BmidConfig,
     QcvBounds,
     _as_sample,
-    _bmid_core,
+    _bmid_rows,
     _median_sorted,
     _window_variance,
 )
@@ -35,6 +35,11 @@ __all__ = [
 KIND_CLASSICAL = "classical"
 KIND_BMID = "bmid"
 KIND_QCV = "qcv"
+
+# A BMID scan evaluates its prefixes a block at a time: a block's rows
+# times its largest prefix length stay within this many cells, though a
+# single row may pass it alone.
+BMID_BLOCK_CELLS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -162,16 +167,6 @@ def _mad_sorted(keys, med: float) -> float:
     return (kth + abs(min(below, above))) / 2.0
 
 
-def _bmid_point(prefix, med, arr, c) -> tuple[float, bool]:
-    """BMID variance of ``arr[:n]``, n = len(prefix), from ``prefix``, its
-    sorted copy, and ``med``, its median; and whether the prefix is
-    degenerate (zero MAD or zero weight sum, variance 0 substituted)."""
-    try:
-        return _bmid_core(arr[: len(prefix)], med, _mad_sorted(prefix, med), c), False
-    except DegenerateScale:
-        return 0.0, True
-
-
 def _qcv_point(window: np.ndarray) -> tuple[float, bool]:
     """QCV variance of a prefix from ``window``, its QCV window in the
     sorted prefix; and whether the prefix is degenerate (fewer than two
@@ -188,32 +183,41 @@ def _robust_scan(
     ``ns`` (each >= 2), and those n whose prefix is degenerate.
 
     Every point enters the sorted prefix, but the scale is estimated only
-    at the n in ``ns``, by :func:`_bmid_point` or :func:`_qcv_point`.  When
-    ``ns`` is every n from 2 on, each point is bisected into a sorted list,
-    and QCV, whose windows are slices of an array, also shifts it into
-    ``buf``; when the lengths are spaced, ``buf[:n]`` of a copy of the
-    series is sorted in place, and the stable sort merges the new points
-    into the sorted run before them.  Both give the same C_n bit for bit.
+    at the n in ``ns``.  When ``ns`` is every n from 2 on, each point is
+    bisected into a sorted list, and QCV, whose windows are slices of an
+    array, also shifts it into ``buf``; when the lengths are spaced,
+    ``buf[:n]`` of a copy of the series is sorted in place, and the stable
+    sort merges the new points into the sorted run before them.  Both give
+    the same C_n bit for bit.  QCV takes each prefix's variance from its
+    window by :func:`_qcv_point`.  BMID collects each prefix's n, median
+    and MAD, and hands them a block at a time to the kernel that
+    :func:`bmid_variance` uses, each block's rows times its largest n at
+    most ``BMID_BLOCK_CELLS``; the kernel sums each row as the 1-D prefix
+    would be summed.
     """
-    out = np.empty(len(ns))
-    degenerate = []
-    dense = len(ns) == ns[-1] - 1
+    count = len(ns)
+    dense = count == ns[-1] - 1
     values = arr.tolist()
     keys = values[:1]
     buf = arr.copy()
-    if spec.kind == KIND_QCV:
+    meds = []
+    var = np.empty(count)
+    flat = np.empty(count, dtype=bool)
+    bmid = spec.kind == KIND_BMID
+    if bmid:
+        c, mads, start = spec.bmid_config.c, [], 0
+    else:
         los, his = spec.qcv_bounds.window(np.asarray(ns))
     # Squares past the float range become inf, and sums of such values
-    # NaN, which NonFiniteTrace reports; a MAD near the underflow limit
-    # sends |u| to inf, which lies outside the BMID weights |u| < 1 as it
-    # should.  One errstate per scan, not per prefix.
+    # NaN, which NonFiniteTrace reports.  One errstate per scan, not per
+    # prefix.
     with np.errstate(over="ignore", invalid="ignore"):
         for i, n in enumerate(ns):
             if dense:
                 x = values[n - 1]
                 pos = bisect_left(keys, x)
                 keys.insert(pos, x)
-                if spec.kind == KIND_QCV:
+                if not bmid:
                     buf[pos + 1 : n] = buf[pos : n - 1]
                     buf[pos] = x
                 prefix = keys
@@ -221,14 +225,24 @@ def _robust_scan(
                 prefix = buf[:n]
                 prefix.sort(kind="stable")
             med = _median_sorted(prefix)
-            if spec.kind == KIND_BMID:
-                var, flat = _bmid_point(prefix, med, arr, spec.bmid_config.c)
+            meds.append(med)
+            if bmid:
+                if i > start and (i + 1 - start) * n > BMID_BLOCK_CELLS:
+                    var[start:i], flat[start:i] = _bmid_rows(
+                        arr, ns[start:i], meds[start:i], mads, c
+                    )
+                    start, mads = i, []
+                mads.append(_mad_sorted(prefix, med))
             else:
-                var, flat = _qcv_point(buf[los[i] : his[i]])
-            out[i] = n * (var + med * med) - var
-            if flat:
-                degenerate.append(n)
-    return out, degenerate
+                var[i], flat[i] = _qcv_point(buf[los[i] : his[i]])
+        if bmid:
+            var[start:], flat[start:] = _bmid_rows(
+                arr, ns[start:], meds[start:], mads, c
+            )
+        ns = np.asarray(ns)
+        meds = np.array(meds)
+        out = ns * (var + meds * meds) - var
+    return out, ns[flat].tolist()
 
 
 def robust_css(values, spec: ScaleEstimatorSpec) -> CssTrace:
@@ -246,7 +260,9 @@ def robust_css(values, spec: ScaleEstimatorSpec) -> CssTrace:
 
     For a robust spec the scan keeps the prefix sorted (binary-search
     insert) and calls the estimators' own median, BMID and QCV kernels on
-    it; only the selections are incremental.  The MAD is picked from the
+    it; only the selections are incremental.  BMID prefixes go to the
+    kernel of :func:`bmid_variance` a block at a time, each row summed as
+    the 1-D prefix would be.  The MAD is picked from the
     V-shaped |x - med| (:func:`_mad_sorted`), and QCV windows are
     contiguous slices of a numpy copy of the sorted prefix.  It matches a
     from-scratch recomputation of every prefix through the public

@@ -287,18 +287,21 @@ def _chord_counts(ns: np.ndarray, values: np.ndarray) -> tuple[int, int]:
 
 def _vote(ns: np.ndarray, values: np.ndarray) -> tuple[bool, float]:
     """The chord vote of the points (n, C_n): whether they are convex, that
-    is no more of them lie above the chord than below it (a tie is convex),
-    and the margin |above - below| over the interior points (0 when there
-    is none)."""
+    is no more of them lie above the chord than below it (a tie is
+    convex), unless they are finite and all on the chord, a line such as
+    a constant series gives, which keeps its order; and the margin
+    |above - below| over the interior points (0 when there is none)."""
     above, below = _chord_counts(ns, values)
+    line = above == below == 0 and bool(np.all(np.isfinite(values)))
     votes = ns.size - 2
-    return above <= below, abs(above - below) / votes if votes else 0.0
+    return above <= below and not line, abs(above - below) / votes if votes else 0.0
 
 
 def detect_orientation(trace: CssTrace) -> Orientation:
     """Classify the trace by the chord vote of its interior points, n = 2
     .. N-1, against the chord through (2, C_2) and (N-1, C_{N-1}): concave
-    when more of them lie above the chord than below it, convex otherwise.
+    when more of them lie above the chord than below it, or when the trace
+    is finite and exactly linear; convex otherwise.
     """
     n_total = trace.source_length
     if n_total < 4:

@@ -107,8 +107,11 @@ def _mad_value(values: np.ndarray, med: float) -> float:
     return _median_sorted(np.sort(np.abs(values - med)))
 
 
-def _bmid_core(values: np.ndarray, med: float, mad_val: float, c: float) -> float:
-    """Biweight midvariance given precomputed median and MAD.
+def _bmid_rows(values: np.ndarray, ns, meds, mads, c: float):
+    """Biweight midvariances of the prefixes ``values[:n]``, one row per n
+    in the increasing ``ns``, given each prefix's median and MAD; and
+    whether each row is degenerate (zero MAD or zero weight sum, variance
+    0 in its place).
 
     With k = c * MAD and u = (x - med) / k, every point is weighted by
     w = 1 - min(u^2, 1), in the order given, the original sample order; a
@@ -120,38 +123,47 @@ def _bmid_core(values: np.ndarray, med: float, mad_val: float, c: float) -> floa
     where the variance does.  It underflows where it should not only when
     u^2 does for every weighted point, k some 1e154 times their deviations.
 
-    Raises :class:`DegenerateScale` when the MAD is zero or the weight sum
-    in the denominator is zero (no point with |u| < 1, say), since the
-    variance is then undefined.  It runs once per prefix of a trace scan,
-    so it enters no ``np.errstate``: a MAD near the underflow limit sends
-    |u| to inf, outside the weights as it should, and the caller quiets
-    that overflow.
+    The elementwise chain runs once over a (rows, max n) block, each row's
+    median and k broadcast; the cells past a row's n are never summed.
+    Each row's two sums are one ``np.add.reduce`` over its first n cells,
+    numpy's pairwise sum for length n, so a row is bit for bit the 1-D
+    evaluation of its prefix alone.  The block enters one ``np.errstate``:
+    a MAD near the underflow limit sends |u| to inf, outside the weights
+    as it should, and a zero MAD's row is flagged, whatever it computed.
     """
-    if mad_val == 0.0:
-        raise DegenerateScale("MAD is zero; biweight weights are undefined")
-    k = c * mad_val
+    x = values[: ns[-1]]
+    ns, meds, mads = np.asarray(ns), np.array(meds), np.array(mads)
     back = 1.0
-    if k == math.inf:
-        # c * MAD is past the float range: the same u, exactly, from the
-        # sample, median and MAD scaled by 2^-64, and the variance scaled
-        # back by 2^128
-        s = 2.0**-64
-        values, med, k, back = values * s, med * s, c * (mad_val * s), 2.0**128
-    m = values - med
-    m /= k
-    m *= m
-    np.minimum(m, 1.0, out=m)  # fl(u * u) < 1 exactly when |u| < 1
-    w = 1.0 - m
-    t = w * 5.0
-    t -= 4.0
-    t *= w
-    den = float(_add(t))
-    if den == 0.0:
-        raise DegenerateScale("biweight weights sum to zero; no point has |u| < 1")
-    w *= w
-    w *= w  # two squarings: w ** 4 would call pow
-    m *= w
-    return values.size * float(_add(m)) / (den * den) * k * k * back
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        k = c * mads
+        big = k == math.inf
+        if big.any():
+            # c * MAD is past the float range: the same u, exactly, from
+            # the row's sample, median and MAD scaled by 2^-64, and its
+            # variance scaled back by 2^128; other rows keep scale 1.0
+            s = np.where(big, 2.0**-64, 1.0)
+            x, meds = x * s[:, None], meds * s
+            k = np.where(big, c * (mads * s), k)
+            back = np.where(big, 2.0**128, 1.0)
+        terms = np.empty((2, ns.size, x.shape[-1]))
+        t, m = terms
+        np.subtract(x, meds[:, None], out=m)
+        m /= k[:, None]
+        m *= m
+        np.minimum(m, 1.0, out=m)  # fl(u * u) < 1 exactly when |u| < 1
+        w = 1.0 - m
+        np.multiply(w, 5.0, out=t)
+        t -= 4.0
+        t *= w
+        w *= w
+        w *= w  # two squarings: w ** 4 would call pow
+        m *= w
+        den, num = np.array(
+            [_add(terms[:, b, :n], 1) for b, n in enumerate(ns.tolist())]
+        ).T
+        var = ns * num / (den * den) * k * k * back
+    flat = (mads == 0.0) | (den == 0.0)
+    return np.where(flat, 0.0, var), flat
 
 
 def _window_variance(w: np.ndarray) -> float:
@@ -224,7 +236,13 @@ def bmid_variance(values, config: BmidConfig | None = None) -> float:
     arr = _as_sample(values, min_len=2, what="BMID sample")
     med = _median_sorted(np.sort(arr))
     with np.errstate(over="ignore"):
-        return _bmid_core(arr, med, _mad_value(arr, med), cfg.c)
+        mad_val = _mad_value(arr, med)
+    if mad_val == 0.0:
+        raise DegenerateScale("MAD is zero; biweight weights are undefined")
+    var, flat = _bmid_rows(arr, [arr.size], [med], [mad_val], cfg.c)
+    if flat[0]:
+        raise DegenerateScale("biweight weights sum to zero; no point has |u| < 1")
+    return float(var[0])
 
 
 def qcv_variance(values, bounds: QcvBounds | None = None) -> float:

@@ -8,19 +8,21 @@ import scaleshift.css
 
 @pytest.fixture()
 def prefix_estimates(monkeypatch):
-    """Counter of robust prefix estimates by estimator kind: the calls of
-    the per-prefix evaluation in the robust scan, for full traces and the
-    strided orientation pass alike, degenerate prefixes included."""
+    """Counter of robust prefix estimates by estimator kind: the rows of
+    the BMID block kernel and the calls of the QCV per-prefix evaluation
+    in the robust scan, for full traces and the strided orientation pass
+    alike, degenerate prefixes included."""
     counts = collections.Counter()
+    bmid_rows, qcv_point = scaleshift.css._bmid_rows, scaleshift.css._qcv_point
 
-    def counting(kind, point):
-        def wrapper(*args):
-            counts[kind] += 1
-            return point(*args)
-        return wrapper
+    def counting_rows(values, ns, *args):
+        counts["bmid"] += len(ns)
+        return bmid_rows(values, ns, *args)
 
-    for kind, name in (("bmid", "_bmid_point"), ("qcv", "_qcv_point")):
-        monkeypatch.setattr(
-            scaleshift.css, name, counting(kind, getattr(scaleshift.css, name))
-        )
+    def counting_point(*args):
+        counts["qcv"] += 1
+        return qcv_point(*args)
+
+    monkeypatch.setattr(scaleshift.css, "_bmid_rows", counting_rows)
+    monkeypatch.setattr(scaleshift.css, "_qcv_point", counting_point)
     return counts

@@ -3,10 +3,14 @@ scan, used only by tests.
 
 ``naive_css`` recomputes the median and the robust scale of every prefix
 through the public estimators; the scan must match it bit for bit,
-degenerate prefixes included.  ``refit_ols`` refits both lines of every
+degenerate prefixes included.  ``bmid_1d`` computes one biweight
+midvariance in a plain 1-D pass, the reference for the block kernel's
+rows.  ``refit_ols`` refits both lines of every
 OLS candidate split with ``np.polyfit``, independently of the prefix-sum
 scan.
 """
+import math
+
 import numpy as np
 
 from scaleshift import (
@@ -22,6 +26,7 @@ from scaleshift import (
     WindowTooSmall,
     bmid_variance,
     classical_css,
+    mad,
     qcv_variance,
     sample_median,
 )
@@ -57,6 +62,32 @@ def naive_css(values, spec: ScaleEstimatorSpec) -> CssTrace:
         source_length=arr.size,
         degenerate_prefixes=tuple(degenerate),
     )
+
+
+def bmid_1d(values, c: float):
+    """The biweight midvariance of ``values`` with constant ``c``, or None
+    where it is degenerate, by one 1-D pass in sample order: the
+    arithmetic of the estimator's kernel, each sum one ``np.add.reduce``
+    over the whole sample, with no block and no row."""
+    arr = np.asarray(values, dtype=float)
+    med = sample_median(arr)
+    mad_val = mad(arr)
+    if mad_val == 0.0:
+        return None
+    k, back = c * mad_val, 1.0
+    if k == math.inf:  # the kernel's exact 2^-64 rescale
+        s = 2.0**-64
+        arr, med, k, back = arr * s, med * s, c * (mad_val * s), 2.0**128
+    with np.errstate(over="ignore", invalid="ignore"):
+        u = (arr - med) / k
+        m = np.minimum(u * u, 1.0)
+        w = 1.0 - m
+        den = float(np.add.reduce((w * 5.0 - 4.0) * w))
+        if den == 0.0:
+            return None
+        w2 = w * w
+        num = float(np.add.reduce(m * (w2 * w2)))
+    return arr.size * num / (den * den) * k * k * back
 
 
 def _refit_ssr(x: np.ndarray, y: np.ndarray) -> float:

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from scaleshift import (
     CssTrace,
+    DegenerateScale,
     InsufficientLength,
     InvalidParameter,
     Orientation,
@@ -18,12 +19,13 @@ from scaleshift import (
     reverse_sample,
     robust_css,
 )
+import scaleshift.css as css_module
 from scaleshift.css import _robust_scan
 from scaleshift.detect import ORIENT_STRIDE, _chord_counts
-from scaleshift.estimators import QcvBounds
+from scaleshift.estimators import QcvBounds, bmid_variance, mad
 from scaleshift.simulate import StableSpec, gen_stable_series, make_rng
 
-from oracles import naive_css
+from oracles import bmid_1d, naive_css
 
 
 def _trace(values, spec=None):
@@ -203,6 +205,116 @@ class TestScanMatchesOracle:
         assert fast.degenerate_prefixes == (2, 3, 4, 5, 6, 8)
 
 
+@st.composite
+def _bmid_cases(draw):
+    """A series of 3..120 values and a BMID spec whose scan meets zero
+    MADs (a repeated head, ties), zero weight sums (c <= 1) and a c * MAD
+    past the float range (c = 1e300 on data around 1e10)."""
+    n = draw(st.integers(3, 120))
+    head = draw(st.integers(0, n))
+    cells = draw(st.sampled_from([
+        st.integers(-4, 4).map(float),
+        st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False),
+    ]))
+    values = [3.0] * head + draw(st.lists(cells, min_size=n - head, max_size=n - head))
+    scale = draw(st.sampled_from([1.0, 1e10, 2.0**-600]))
+    c = draw(st.sampled_from([9.0, 1.0, 0.5, 1e300]))
+    return np.asarray(values) * scale, ScaleEstimatorSpec.bmid(c)
+
+
+class TestBmidBlocks:
+    """The BMID scan hands its prefixes to the kernel a block at a time;
+    whatever the blocks' bounds, dense or strided, each row and
+    ``bmid_variance`` of its prefix equal a plain 1-D pass over that
+    prefix, and the scan equals the oracle, byte for byte and with no
+    numpy warning."""
+
+    @staticmethod
+    def _scan(x, spec, ns, cells):
+        """The scan of ``x`` at ``ns`` under a ``cells`` budget, and the
+        kernel's blocks: (lengths, variances, degenerate flags)."""
+        blocks = []
+        kernel = css_module._bmid_rows
+
+        def recording(values, block_ns, *args):
+            var, flat = kernel(values, block_ns, *args)
+            blocks.append((list(block_ns), var, flat))
+            return var, flat
+
+        with warnings.catch_warnings(), pytest.MonkeyPatch.context() as mp:
+            warnings.simplefilter("error")
+            mp.setattr(css_module, "BMID_BLOCK_CELLS", cells)
+            mp.setattr(css_module, "_bmid_rows", recording)
+            values, degenerate = _robust_scan(x, spec, ns.tolist())
+        return values, degenerate, blocks
+
+    @staticmethod
+    def _check(x, spec, ns, values, degenerate, blocks):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            slow = naive_css(x, spec)
+            assert values.tobytes() == slow.values[ns - 1].tobytes()
+            wanted = set(ns.tolist())
+            assert degenerate == [n for n in slow.degenerate_prefixes if n in wanted]
+            c = spec.bmid_config.c
+            for block_ns, var, flat in blocks:
+                for n, v, f in zip(block_ns, var, flat):
+                    want = bmid_1d(x[:n], c)
+                    try:
+                        public = bmid_variance(x[:n], spec.bmid_config)
+                    except DegenerateScale:
+                        assert want is None and f and v == 0.0
+                    else:
+                        assert want is not None and not f
+                        want = np.float64(want).tobytes()
+                        assert np.float64(v).tobytes() == want
+                        assert np.float64(public).tobytes() == want
+
+    @settings(max_examples=150, deadline=None)
+    @given(_bmid_cases(), st.sampled_from([1, 2, ORIENT_STRIDE]), st.data())
+    def test_rows_equal_the_oracle(self, case, stride, data):
+        x, spec = case
+        n = x.size
+        if stride == 1:
+            ns = np.arange(2, n + 1)
+        else:
+            ns = np.append(np.arange(2, n - 1, stride), n - 1)
+        # one row a block, blocks of two rows at the longest prefixes, a
+        # budget drawn anywhere up to one block, and the default
+        cells = data.draw(st.sampled_from(
+            [1, 2 * n, data.draw(st.integers(1, n * n)), css_module.BMID_BLOCK_CELLS]
+        ))
+        values, degenerate, blocks = self._scan(x, spec, ns, cells)
+        self._check(x, spec, ns, values, degenerate, blocks)
+        # the blocks cover ns in order, each within the budget (or one
+        # row), and each as long as the budget lets it be
+        assert [m for block_ns, _, _ in blocks for m in block_ns] == ns.tolist()
+        for i, (block_ns, _, _) in enumerate(blocks):
+            assert len(block_ns) == 1 or len(block_ns) * block_ns[-1] <= cells
+            if i + 1 < len(blocks):
+                following = blocks[i + 1][0][0]
+                assert (len(block_ns) + 1) * following > cells
+
+    def test_one_block_mixes_every_kind_of_row(self):
+        # with c = 2: a repeated head (zero MAD at n = 2..5); then +-1 (at
+        # n = 19..37 the median's three points weigh +1 each and sixteen at
+        # u = +-1/2 weigh -3/16 each, an exact zero sum); then +-1.5e308,
+        # whose MAD puts c * MAD past the float range from n = 39 on
+        x = np.concatenate([np.zeros(3), np.tile([1.0, -1.0], 8),
+                            np.tile([1.5e308, -1.5e308], 15)])
+        spec = ScaleEstimatorSpec.bmid(2.0)
+        ns = np.arange(2, x.size + 1)
+        values, degenerate, blocks = self._scan(
+            x, spec, ns, css_module.BMID_BLOCK_CELLS
+        )
+        assert len(blocks) == 1
+        mads = [mad(x[:n]) for n in ns]
+        assert [n for n, m in zip(ns, mads) if m == 0.0] == [2, 3, 4, 5]
+        assert degenerate == [2, 3, 4, 5] + list(range(19, 38))
+        assert [n for n, m in zip(ns, mads) if 2.0 * m == np.inf] == list(range(39, 50))
+        self._check(x, spec, ns, values, degenerate, blocks)
+
+
 class TestStridedTrace:
     """The scan at spaced prefix lengths, as the orientation vote runs it,
     gives the full trace's own C_n and degenerate prefixes, bit for bit,
@@ -256,9 +368,15 @@ class TestDetectOrientation:
         tr = _trace(np.arange(1.0, 51.0) ** 2)
         assert detect_orientation(tr) is Orientation.CONVEX
 
-    def test_linear_trace_ties_to_convex(self):
+    def test_linear_trace_is_concave(self):
+        # no point off the chord: the trace keeps its order
         tr = _trace(np.arange(1.0, 51.0) * 2.0)
-        assert detect_orientation(tr) is Orientation.CONVEX
+        assert detect_orientation(tr) is Orientation.CONCAVE
+
+    def test_tie_off_the_chord_is_convex(self):
+        values = np.arange(1.0, 51.0) * 2.0
+        values[[10, 30]] += [1.0, -1.0]  # one point above, one below
+        assert detect_orientation(_trace(values)) is Orientation.CONVEX
 
     def test_min_length(self):
         with pytest.raises(InsufficientLength):

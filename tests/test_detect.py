@@ -485,6 +485,19 @@ class TestOrientationChoice:
             assert not o.reversed_applied and not o.constant_prefix_fallback
             assert np.array_equal(o.trace.values, classical_css(x).values)
 
+    @pytest.mark.parametrize("orientation", ["auto", "on", "off"])
+    @pytest.mark.parametrize("method", [METHOD_ICSS, METHOD_OLS])
+    @pytest.mark.parametrize("spec", [ScaleEstimatorSpec.classical(),
+                                      ScaleEstimatorSpec.bmid(),
+                                      ScaleEstimatorSpec.qcv()],
+                             ids=["classical", "bmid", "qcv"])
+    def test_constant_series_keeps_its_order(self, spec, method, orientation):
+        # the trace of a constant series lies on its chord, so no vote
+        # reverses it, and every setting reports index 2 as "off" does
+        o = orient(np.full(100, 3.0), spec, orientation=orientation)
+        assert not o.reversed_applied and not o.constant_prefix_fallback
+        assert detect_oriented(o, method).change_point == 2
+
     def test_classical_on_reverses_a_scale_increase(self):
         x = _two_regime_gaussian(n=300, cp=150)
         spec = ScaleEstimatorSpec.classical()

@@ -199,8 +199,8 @@ class TestBmidVariance:
     @pytest.mark.parametrize("n", [4, 5])
     def test_subnormal_mad_is_quiet(self, n):
         # a MAD of 5e-324 sends |u| of the values of order 1 to inf, outside
-        # the weights; bmid_variance quiets that overflow itself, since the
-        # kernel it shares with the trace scan enters no errstate
+        # the weights; the kernel that bmid_variance shares with the trace
+        # scan quiets that overflow itself
         cells = [5e-324, 1e-323, 5e-324, 1.0, 2.0, -1.0, 3.0, 0.5, 1e-323]
         prefix = cells[:n]
         with warnings.catch_warnings():
