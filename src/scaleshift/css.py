@@ -7,7 +7,7 @@ the sample median and a robust scale estimate computed on each prefix.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
+from bisect import bisect_left, insort_left
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -17,7 +17,9 @@ from .estimators import (
     BmidConfig,
     QcvBounds,
     _as_sample,
-    _bmid_rows,
+    _bmid_block,
+    _bmid_finish,
+    _bmid_scale,
     _median_sorted,
     _window_variance,
 )
@@ -135,45 +137,145 @@ def classical_css(values) -> CssTrace:
     )
 
 
-def _mad_sorted(keys, med: float) -> float:
-    """Raw MAD about ``med`` of the sorted sequence ``keys``, by selection.
+def _mad_sorted(keys, med: float, split: int) -> tuple[float, int]:
+    """Raw MAD about ``med`` of the sorted sequence ``keys``, by selection;
+    and its split, how many of the smallest deviations lie below ``med``.
 
     fl(x - med) is monotone in x, so |x - med| falls over the keys below
-    ``med`` and rises over the rest: two sorted runs.  A binary search for
-    how many of the k smallest deviations lie below ``med`` gives the
-    middle order statistics in O(log n), with the values and the
-    ``(v_h + v_{h+1}) / 2.0`` that sorting |x - med| would give.
+    ``med`` and rises over the rest: two sorted runs.  The split is the
+    least i whose next deviation below is no smaller than the (k - i)-th
+    one above, with k the rank of the lower middle; it gives the middle
+    order statistics, with the values and the ``(v_h + v_{h+1}) / 2.0``
+    that sorting |x - med| would give.  Whether a candidate i lies below
+    the split is monotone in i, so the search starts from ``split``, the
+    previous prefix's, tries a step and then gallops outward, doubling
+    its step, before it bisects the bracket it found: O(log d)
+    comparisons for a split that moved by d, never more than O(log n).
     """
     n = len(keys)
     k = (n + 1) >> 1                  # 1-based rank of the lower middle
     p = bisect_left(keys, med)        # keys[:p] < med <= keys[p:]
-    # i of the k smallest come from below med and k - i from above: find
-    # the least i whose next deviation below is no smaller than the
-    # (k - i)-th one above
-    lo, hi = max(0, k - (n - p)), min(k, p)
+    # i of the k smallest come from below med and k - i from above
+    lo = k - n + p if k > n - p else 0
+    hi = k if k < p else p
+    i = lo if split < lo else hi if split > hi else split
+    step = 1
+    if i < hi and med - keys[p - 1 - i] < keys[p + k - 1 - i] - med:
+        lo = i + 1                    # the split lies above i: gallop up
+        while lo < hi:
+            i = lo + step - 1
+            if i >= hi:
+                i = hi - 1
+            if med - keys[p - 1 - i] < keys[p + k - 1 - i] - med:
+                lo, step = i + 1, step << 1
+            else:
+                hi = i
+                break
+    else:
+        hi = i                        # the split is at most i: gallop down
+        while lo < hi:
+            i = hi - step
+            if i < lo:
+                i = lo
+            if med - keys[p - 1 - i] < keys[p + k - 1 - i] - med:
+                lo = i + 1
+                break
+            hi, step = i, step << 1
     while lo < hi:
         i = (lo + hi) >> 1
         if med - keys[p - 1 - i] < keys[p + k - 1 - i] - med:
             lo = i + 1
         else:
             hi = i
+    # the k-th smallest deviation, and for even n the next; each is >= 0
     below = med - keys[p - lo] if lo else 0.0
     above = keys[p + k - 1 - lo] - med if lo < k else 0.0
-    kth = abs(max(below, above))
+    kth = above if above > below else below
     if n & 1:
-        return kth
+        return kth, lo
     below = med - keys[p - 1 - lo] if lo < p else math.inf
     above = keys[p + k - lo] - med if p + k - lo < n else math.inf
-    return (kth + abs(min(below, above))) / 2.0
+    return (kth + (above if above < below else below)) / 2.0, lo
 
 
-def _qcv_point(window: np.ndarray) -> tuple[float, bool]:
+def _bmid_scan(arr: np.ndarray, ns, lengths, meds: np.ndarray, c: float):
+    """Biweight midvariances and degenerate flags of the prefixes of
+    ``arr`` at the lengths ``ns``, a list, and ``lengths``, the same as an
+    array; their medians are written to ``meds``.
+
+    Every point is bisected into one sorted list, and each prefix in
+    ``ns`` takes its median and MAD from it, the MAD search starting from
+    the previous prefix's split.  The kernel of :func:`bmid_variance`
+    then runs in three steps: k = c * MAD for all rows, the elementwise
+    chain a block at a time, each block's rows times its largest n at
+    most ``BMID_BLOCK_CELLS``, with each row's two sums written to one
+    array, and the variances and flags for all rows."""
+    values = arr.tolist()
+    keys = []
+    mads = np.empty(len(ns))
+    bounds = [0]  # where each block starts
+    m = split = 0
+    for i, n in enumerate(ns):
+        for x in values[m:n]:
+            insort_left(keys, x)
+        m = n
+        meds[i] = med = _median_sorted(keys)
+        mads[i], split = _mad_sorted(keys, med, split)
+        if i > bounds[-1] and (i + 1 - bounds[-1]) * n > BMID_BLOCK_CELLS:
+            bounds.append(i)
+    bounds.append(len(ns))
+    k, big, back = _bmid_scale(mads, c)
+    sums = np.empty((len(ns), 2))
+    for start, stop in zip(bounds, bounds[1:]):
+        rows = slice(start, stop)
+        _bmid_block(arr, ns[rows], meds[rows], k[rows], big[rows], sums[rows])
+    return _bmid_finish(lengths, sums, k, back, mads)
+
+
+def _qcv_point(window: np.ndarray, d: np.ndarray) -> tuple[float, bool]:
     """QCV variance of a prefix from ``window``, its QCV window in the
-    sorted prefix; and whether the prefix is degenerate (fewer than two
-    points in the window, variance 0 substituted)."""
+    sorted prefix, with ``d`` the scan's deviation buffer; and whether
+    the prefix is degenerate (fewer than two points in the window,
+    variance 0 substituted)."""
     if window.size < 2:
         return 0.0, True
-    return _window_variance(window), False
+    return _window_variance(window, d), False
+
+
+def _qcv_scan(arr: np.ndarray, ns, lengths, meds: np.ndarray, bounds: QcvBounds):
+    """QCV variances and degenerate flags of the prefixes of ``arr`` at
+    the lengths ``ns``, a list, and ``lengths``, the same as an array;
+    their medians are written to ``meds``.
+
+    The windows are slices of ``buf``, a numpy copy of the sorted prefix.
+    When ``ns`` is every n from 2 on, each point is bisected into a sorted
+    list and shifted into ``buf``; when the lengths are spaced, ``buf[:n]``
+    is sorted in place, and the stable sort merges the new points into
+    the sorted run before them.  Each prefix's variance comes from its
+    window by :func:`_qcv_point`, with one deviation buffer for the scan.
+    """
+    count = len(ns)
+    dense = count == ns[-1] - 1
+    values = arr.tolist()
+    keys = values[:1]
+    buf, d = arr.copy(), np.empty(arr.size)
+    var = np.empty(count)
+    flat = np.empty(count, dtype=bool)
+    los, his = bounds.window(lengths)
+    for i, n in enumerate(ns):
+        if dense:
+            x = values[n - 1]
+            pos = bisect_left(keys, x)
+            keys.insert(pos, x)
+            buf[pos + 1 : n] = buf[pos : n - 1]
+            buf[pos] = x
+            prefix = keys
+        else:
+            prefix = buf[:n]
+            prefix.sort(kind="stable")
+        meds[i] = _median_sorted(prefix)
+        var[i], flat[i] = _qcv_point(buf[los[i] : his[i]], d)
+    return var, flat
 
 
 def _robust_scan(
@@ -183,66 +285,22 @@ def _robust_scan(
     ``ns`` (each >= 2), and those n whose prefix is degenerate.
 
     Every point enters the sorted prefix, but the scale is estimated only
-    at the n in ``ns``.  When ``ns`` is every n from 2 on, each point is
-    bisected into a sorted list, and QCV, whose windows are slices of an
-    array, also shifts it into ``buf``; when the lengths are spaced,
-    ``buf[:n]`` of a copy of the series is sorted in place, and the stable
-    sort merges the new points into the sorted run before them.  Both give
-    the same C_n bit for bit.  QCV takes each prefix's variance from its
-    window by :func:`_qcv_point`.  BMID collects each prefix's n, median
-    and MAD, and hands them a block at a time to the kernel that
-    :func:`bmid_variance` uses, each block's rows times its largest n at
-    most ``BMID_BLOCK_CELLS``; the kernel sums each row as the 1-D prefix
-    would be summed.
+    at the n in ``ns``: by :func:`_bmid_scan` or :func:`_qcv_scan`.  The
+    dense and the spaced lengths give the same C_n bit for bit.
     """
-    count = len(ns)
-    dense = count == ns[-1] - 1
-    values = arr.tolist()
-    keys = values[:1]
-    buf = arr.copy()
-    meds = []
-    var = np.empty(count)
-    flat = np.empty(count, dtype=bool)
-    bmid = spec.kind == KIND_BMID
-    if bmid:
-        c, mads, start = spec.bmid_config.c, [], 0
-    else:
-        los, his = spec.qcv_bounds.window(np.asarray(ns))
+    lengths = np.asarray(ns)
+    ns = lengths.tolist()
+    meds = np.empty(len(ns))
     # Squares past the float range become inf, and sums of such values
-    # NaN, which NonFiniteTrace reports.  One errstate per scan, not per
-    # prefix.
-    with np.errstate(over="ignore", invalid="ignore"):
-        for i, n in enumerate(ns):
-            if dense:
-                x = values[n - 1]
-                pos = bisect_left(keys, x)
-                keys.insert(pos, x)
-                if not bmid:
-                    buf[pos + 1 : n] = buf[pos : n - 1]
-                    buf[pos] = x
-                prefix = keys
-            else:
-                prefix = buf[:n]
-                prefix.sort(kind="stable")
-            med = _median_sorted(prefix)
-            meds.append(med)
-            if bmid:
-                if i > start and (i + 1 - start) * n > BMID_BLOCK_CELLS:
-                    var[start:i], flat[start:i] = _bmid_rows(
-                        arr, ns[start:i], meds[start:i], mads, c
-                    )
-                    start, mads = i, []
-                mads.append(_mad_sorted(prefix, med))
-            else:
-                var[i], flat[i] = _qcv_point(buf[los[i] : his[i]])
-        if bmid:
-            var[start:], flat[start:] = _bmid_rows(
-                arr, ns[start:], meds[start:], mads, c
-            )
-        ns = np.asarray(ns)
-        meds = np.array(meds)
-        out = ns * (var + meds * meds) - var
-    return out, ns[flat].tolist()
+    # NaN, which NonFiniteTrace reports; a zero MAD's BMID row divides by
+    # zero and is flagged.  One errstate per scan, not per prefix.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        if spec.kind == KIND_BMID:
+            var, flat = _bmid_scan(arr, ns, lengths, meds, spec.bmid_config.c)
+        else:
+            var, flat = _qcv_scan(arr, ns, lengths, meds, spec.qcv_bounds)
+        out = lengths * (var + meds * meds) - var
+    return out, lengths[flat].tolist()
 
 
 def robust_css(values, spec: ScaleEstimatorSpec) -> CssTrace:
@@ -260,13 +318,15 @@ def robust_css(values, spec: ScaleEstimatorSpec) -> CssTrace:
 
     For a robust spec the scan keeps the prefix sorted (binary-search
     insert) and calls the estimators' own median, BMID and QCV kernels on
-    it; only the selections are incremental.  BMID prefixes go to the
-    kernel of :func:`bmid_variance` a block at a time, each row summed as
-    the 1-D prefix would be.  The MAD is picked from the
-    V-shaped |x - med| (:func:`_mad_sorted`), and QCV windows are
-    contiguous slices of a numpy copy of the sorted prefix.  It matches a
-    from-scratch recomputation of every prefix through the public
-    estimators bit for bit.
+    it; only the selections are incremental.  The MAD is picked from the
+    V-shaped |x - med|, its search starting from the previous prefix's
+    split (:func:`_mad_sorted`).  BMID runs the kernel of
+    :func:`bmid_variance` once the medians and MADs are known: its
+    elementwise chain a block of prefixes at a time, each row summed as
+    the 1-D prefix would be, and its k and final formula once for all
+    prefixes.  QCV windows are contiguous slices of a numpy copy of the
+    sorted prefix.  It matches a from-scratch recomputation of every
+    prefix through the public estimators bit for bit.
     """
     arr = _as_sample(values, min_len=3, what="series")
     if spec.kind == KIND_CLASSICAL:
@@ -274,7 +334,7 @@ def robust_css(values, spec: ScaleEstimatorSpec) -> CssTrace:
     out = np.empty(arr.size)
     x1 = float(arr[0])
     out[0] = x1 * x1  # a Python float product overflows to inf quietly
-    out[1:], degenerate = _robust_scan(arr, spec, range(2, arr.size + 1))
+    out[1:], degenerate = _robust_scan(arr, spec, np.arange(2, arr.size + 1))
     return CssTrace(
         values=out,
         estimator=spec,

@@ -404,7 +404,7 @@ def orient(
     convex, margin = True, 0.0
     if spec.is_robust:
         ns = np.append(np.arange(2, arr.size - 1, ORIENT_STRIDE), arr.size - 1)
-        convex, margin = _vote(ns, _robust_scan(arr, spec, ns.tolist())[0])
+        convex, margin = _vote(ns, _robust_scan(arr, spec, ns)[0])
     forward = None
     if margin < ORIENT_MIN_MARGIN:
         forward = robust_css(arr, spec)

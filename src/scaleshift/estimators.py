@@ -107,68 +107,84 @@ def _mad_value(values: np.ndarray, med: float) -> float:
     return _median_sorted(np.sort(np.abs(values - med)))
 
 
-def _bmid_rows(values: np.ndarray, ns, meds, mads, c: float):
-    """Biweight midvariances of the prefixes ``values[:n]``, one row per n
-    in the increasing ``ns``, given each prefix's median and MAD; and
-    whether each row is degenerate (zero MAD or zero weight sum, variance
-    0 in its place).
+def _bmid_scale(mads: np.ndarray, c: float):
+    """k = c * MAD for each row of a BMID evaluation; which rows have a
+    c * MAD past the float range; and the factor that scales each row's
+    variance back.  Those rows take k from their MAD scaled by 2^-64,
+    exactly, and :func:`_bmid_block` scales their sample and median
+    likewise, so u is unchanged and the variance comes back by 2^128;
+    other rows keep scale 1.0.  Run it under the caller's
+    ``np.errstate(over="ignore")``."""
+    k = c * mads
+    big = k == math.inf
+    back = 1.0
+    if big.any():
+        k[big] = c * (mads[big] * 2.0**-64)
+        back = np.where(big, 2.0**128, 1.0)
+    return k, big, back
 
-    With k = c * MAD and u = (x - med) / k, every point is weighted by
-    w = 1 - min(u^2, 1), in the order given, the original sample order; a
-    point with fl(u^2) >= 1 adds exact zeros, so the sums are the textbook
-    ones over |u| < 1.  d^2 w^4 is written k^2 min(u^2, 1) w^4 and
-    w (1 - 5u^2) as w (5w - 4), so no term is inf * 0 even where x - med
-    overflows, and the dimensionless ratio n sum(u^2 w^4) / sum(w (5w - 4))^2
-    is formed before it is scaled by k twice, so the result overflows only
-    where the variance does.  It underflows where it should not only when
-    u^2 does for every weighted point, k some 1e154 times their deviations.
 
-    The elementwise chain runs once over a (rows, max n) block, each row's
-    median and k broadcast; the cells past a row's n are never summed.
-    Each row's two sums are one ``np.add.reduce`` over its first n cells,
-    numpy's pairwise sum for length n, so a row is bit for bit the 1-D
-    evaluation of its prefix alone.  The block enters one ``np.errstate``:
-    a MAD near the underflow limit sends |u| to inf, outside the weights
-    as it should, and a zero MAD's row is flagged, whatever it computed.
+def _bmid_block(values: np.ndarray, ns, meds, k, big, sums) -> None:
+    """The two biweight sums of the prefixes ``values[:n]``, one row per
+    n in the increasing ``ns``, given each prefix's median and the k and
+    rescale rows of :func:`_bmid_scale`: row b's sum(w (5w - 4)) and
+    sum(min(u^2, 1) w^4) go to ``sums[b]``.
+
+    With u = (x - med) / k, every point is weighted by w = 1 - min(u^2, 1),
+    in the order given, the original sample order; a point with
+    fl(u^2) >= 1 adds exact zeros, so the sums are the textbook ones over
+    |u| < 1.  d^2 w^4 is written k^2 min(u^2, 1) w^4 and w (1 - 5u^2) as
+    w (5w - 4), so no term is inf * 0 even where x - med overflows.
+
+    The elementwise chain runs once over a (2, rows, max n) block, each
+    row's median and k broadcast; the cells past a row's n are never
+    summed.  Each row's two sums are one ``np.add.reduce`` over its first
+    n cells, numpy's pairwise sum for length n, so a row is bit for bit
+    the 1-D evaluation of its prefix alone.  It enters no ``np.errstate``:
+    the caller quiets the block, where a MAD near the underflow limit
+    sends |u| to inf, outside the weights as it should, and a zero MAD's
+    row computes NaN that :func:`_bmid_finish` flags.
     """
     x = values[: ns[-1]]
-    ns, meds, mads = np.asarray(ns), np.array(meds), np.array(mads)
-    back = 1.0
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        k = c * mads
-        big = k == math.inf
-        if big.any():
-            # c * MAD is past the float range: the same u, exactly, from
-            # the row's sample, median and MAD scaled by 2^-64, and its
-            # variance scaled back by 2^128; other rows keep scale 1.0
-            s = np.where(big, 2.0**-64, 1.0)
-            x, meds = x * s[:, None], meds * s
-            k = np.where(big, c * (mads * s), k)
-            back = np.where(big, 2.0**128, 1.0)
-        terms = np.empty((2, ns.size, x.shape[-1]))
-        t, m = terms
-        np.subtract(x, meds[:, None], out=m)
-        m /= k[:, None]
-        m *= m
-        np.minimum(m, 1.0, out=m)  # fl(u * u) < 1 exactly when |u| < 1
-        w = 1.0 - m
-        np.multiply(w, 5.0, out=t)
-        t -= 4.0
-        t *= w
-        w *= w
-        w *= w  # two squarings: w ** 4 would call pow
-        m *= w
-        den, num = np.array(
-            [_add(terms[:, b, :n], 1) for b, n in enumerate(ns.tolist())]
-        ).T
-        var = ns * num / (den * den) * k * k * back
+    if big.any():  # the rows past the float range, in units of 2^64
+        s = np.where(big, 2.0**-64, 1.0)
+        x, meds = x * s[:, None], meds * s
+    terms = np.empty((2, len(ns), x.shape[-1]))
+    t, m = terms
+    np.subtract(x, meds[:, None], out=m)
+    m /= k[:, None]
+    m *= m
+    np.minimum(m, 1.0, out=m)  # fl(u * u) < 1 exactly when |u| < 1
+    w = 1.0 - m
+    np.multiply(w, 5.0, out=t)
+    t -= 4.0
+    t *= w
+    w *= w
+    w *= w  # two squarings: w ** 4 would call pow
+    m *= w
+    for b, n in enumerate(ns):
+        _add(terms[:, b, :n], 1, out=sums[b])
+
+
+def _bmid_finish(ns, sums, k, back, mads):
+    """Biweight midvariances from the rows' sums of :func:`_bmid_block`,
+    their k and rescale factor, and whether each row is degenerate (zero
+    MAD or zero weight sum, variance 0 in its place).
+
+    The dimensionless ratio n sum(u^2 w^4) / sum(w (5w - 4))^2 is formed
+    before it is scaled by k twice, so the result overflows only where the
+    variance does.  It underflows where it should not only when u^2 does
+    for every weighted point, k some 1e154 times their deviations."""
+    den, num = sums.T
+    var = ns * num / (den * den) * k * k * back
     flat = (mads == 0.0) | (den == 0.0)
     return np.where(flat, 0.0, var), flat
 
 
-def _window_variance(w: np.ndarray) -> float:
+def _window_variance(w: np.ndarray, d: np.ndarray) -> float:
     """Mean squared deviation over the QCV window ``w``, a run of sorted
-    order statistics (QCV inner kernel).
+    order statistics (QCV inner kernel); ``d``, at least as long as
+    ``w``, holds the deviations, so a trace scan reuses one buffer.
 
     A finite result of the two-pass formula is returned as it is.  That
     formula also overflows where only the window's sum or one squared
@@ -180,8 +196,9 @@ def _window_variance(w: np.ndarray) -> float:
     caller quiets the two-pass formula's overflow, and the rescue raises
     none."""
     m = w.size
-    d = w - _add(w) / m
-    var = float(_add(d * d) / m)
+    d = np.subtract(w, _add(w) / m, out=d[:m])
+    d *= d
+    var = float(_add(d) / m)
     if var < math.inf:
         return var
     # halved, no difference of two window values overflows
@@ -239,7 +256,11 @@ def bmid_variance(values, config: BmidConfig | None = None) -> float:
         mad_val = _mad_value(arr, med)
     if mad_val == 0.0:
         raise DegenerateScale("MAD is zero; biweight weights are undefined")
-    var, flat = _bmid_rows(arr, [arr.size], [med], [mad_val], cfg.c)
+    mads, sums = np.array([mad_val]), np.empty((1, 2))
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        k, big, back = _bmid_scale(mads, cfg.c)
+        _bmid_block(arr, [arr.size], np.array([med]), k, big, sums)
+        var, flat = _bmid_finish(arr.size, sums, k, back, mads)
     if flat[0]:
         raise DegenerateScale("biweight weights sum to zero; no point has |u| < 1")
     return float(var[0])
@@ -261,4 +282,4 @@ def qcv_variance(values, bounds: QcvBounds | None = None) -> float:
             "need at least 2"
         )
     with np.errstate(over="ignore", invalid="ignore"):
-        return _window_variance(np.sort(arr)[lo:hi])
+        return _window_variance(np.sort(arr)[lo:hi], np.empty(hi - lo))

@@ -1,5 +1,6 @@
 """Unit tests for CSS traces, orientation, and the constant-prefix check."""
 import warnings
+from bisect import insort_left
 
 import numpy as np
 import pytest
@@ -20,9 +21,9 @@ from scaleshift import (
     robust_css,
 )
 import scaleshift.css as css_module
-from scaleshift.css import _robust_scan
+from scaleshift.css import _mad_sorted, _robust_scan
 from scaleshift.detect import ORIENT_STRIDE, _chord_counts
-from scaleshift.estimators import QcvBounds, bmid_variance, mad
+from scaleshift.estimators import QcvBounds, bmid_variance, mad, sample_median
 from scaleshift.simulate import StableSpec, gen_stable_series, make_rng
 
 from oracles import bmid_1d, naive_css
@@ -223,29 +224,43 @@ def _bmid_cases(draw):
 
 
 class TestBmidBlocks:
-    """The BMID scan hands its prefixes to the kernel a block at a time;
-    whatever the blocks' bounds, dense or strided, each row and
+    """The BMID scan hands its prefixes to the kernel's chain a block at
+    a time and finishes every row in one step; whatever the blocks'
+    bounds, dense or strided, each row and
     ``bmid_variance`` of its prefix equal a plain 1-D pass over that
     prefix, and the scan equals the oracle, byte for byte and with no
     numpy warning."""
 
     @staticmethod
     def _scan(x, spec, ns, cells):
-        """The scan of ``x`` at ``ns`` under a ``cells`` budget, and the
-        kernel's blocks: (lengths, variances, degenerate flags)."""
-        blocks = []
-        kernel = css_module._bmid_rows
+        """The scan of ``x`` at ``ns`` under a ``cells`` budget, and its
+        blocks: (lengths, variances, degenerate flags), the lengths as the
+        block kernel saw them and each row's variance and flag as the
+        scan's one finishing step gave them."""
+        block_ns, finished = [], []
+        block, finish = css_module._bmid_block, css_module._bmid_finish
 
-        def recording(values, block_ns, *args):
-            var, flat = kernel(values, block_ns, *args)
-            blocks.append((list(block_ns), var, flat))
-            return var, flat
+        def recording_block(values, ns, *args):
+            block_ns.append(list(ns))
+            return block(values, ns, *args)
+
+        def recording_finish(*args):
+            finished.append(finish(*args))
+            return finished[-1]
 
         with warnings.catch_warnings(), pytest.MonkeyPatch.context() as mp:
             warnings.simplefilter("error")
             mp.setattr(css_module, "BMID_BLOCK_CELLS", cells)
-            mp.setattr(css_module, "_bmid_rows", recording)
+            mp.setattr(css_module, "_bmid_block", recording_block)
+            mp.setattr(css_module, "_bmid_finish", recording_finish)
             values, degenerate = _robust_scan(x, spec, ns.tolist())
+        [(var, flat)] = finished
+        blocks, start = [], 0
+        for rows in block_ns:
+            stop = start + len(rows)
+            blocks.append((rows, var[start:stop], flat[start:stop]))
+            start = stop
+        assert stop == var.size
         return values, degenerate, blocks
 
     @staticmethod
@@ -357,6 +372,71 @@ class TestStridedTrace:
             tol = 1e-12 * 1000.0
             w[1:-1] += np.where(np.arange(1, n - 3) % 2, tol, -tol)
             assert _chord_counts(np.arange(2, n), w) == (0, 0), n
+
+
+@st.composite
+def _mad_series(draw):
+    """A series of 2..300 values on which the MAD's split jumps about:
+    small or wide integer ties, a repeated head, two far clusters, values
+    at the float limit or subnormal."""
+    n = draw(st.integers(2, 300))
+    kind = draw(st.sampled_from(
+        ["0..3", "0..100", "head", "clusters", "limit", "subnormal"]
+    ))
+    if kind == "0..3":
+        cells = st.integers(0, 3).map(float)
+    elif kind == "0..100":
+        cells = st.integers(0, 100).map(float)
+    elif kind == "head":
+        cells = st.floats(-10.0, 10.0)
+    elif kind == "clusters":
+        cells = st.tuples(st.floats(-1.0, 1.0), st.sampled_from([0.0, 1e12])).map(sum)
+    elif kind == "limit":
+        cells = st.sampled_from([1.7976931348623157e308, -1e308, 1e308, 1.0, -1.0, 0.0])
+    else:
+        cells = st.sampled_from([5e-324, -5e-324, 1e-323, 2.2e-308, 0.0, -0.0, 1.0])
+    head = draw(st.integers(0, n)) if kind == "head" else 0
+    values = [2.5] * head + draw(st.lists(cells, min_size=n - head, max_size=n - head))
+    return np.asarray(values)
+
+
+class TestMadSearch:
+    """The MAD search that starts from the previous prefix's split gives
+    ``mad`` of the prefix byte for byte, and the same split from any
+    start, whether the prefix grew by one point or by sixteen."""
+
+    @staticmethod
+    def _splits(x, stride):
+        """Carry the split over the prefixes of ``x`` taken every
+        ``stride`` points, checking each MAD; return the splits."""
+        keys, splits, split = [], [], 0
+        for n, value in enumerate(x.tolist(), 1):
+            insort_left(keys, value)
+            if n < 2 or (n % stride and n < x.size):
+                continue
+            med = sample_median(x[:n])
+            found, split = _mad_sorted(keys, med, split)
+            assert np.float64(found).tobytes() == np.float64(mad(x[:n])).tobytes()
+            assert _mad_sorted(keys, med, 0) == (found, split)
+            assert _mad_sorted(keys, med, n) == (found, split)
+            splits.append(split)
+        return splits
+
+    @settings(max_examples=200, deadline=None)
+    @given(_mad_series(), st.sampled_from([1, ORIENT_STRIDE]))
+    def test_carried_split_equals_mad(self, x, stride):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            self._splits(x, stride)
+
+    def test_split_jumps_a_quarter_of_the_prefix(self):
+        # prefix 200 holds 100 zeros and 100 twos about the median 1: every
+        # deviation is 1 and the split takes all from above; at 0.9 the
+        # median is the new point, and the 100 zeros at 0.9 come first
+        x = np.append(np.tile([0.0, 2.0], 100), 0.9)
+        splits = self._splits(x, 1)
+        assert splits[-2] == 0 and splits[-1] == 100
+        assert splits[-1] - splits[-2] >= x.size / 4
 
 
 class TestDetectOrientation:
