@@ -414,9 +414,13 @@ class TestMadSearch:
             insort_left(keys, value)
             if n < 2 or (n % stride and n < x.size):
                 continue
-            med = sample_median(x[:n])
+            # two middle values past half the float range sum to inf in
+            # the median, quietly in the scan's own, with a numpy warning
+            # in the public estimators
+            with np.errstate(over="ignore"):
+                med, want = sample_median(x[:n]), mad(x[:n])
             found, split = _mad_sorted(keys, med, split)
-            assert np.float64(found).tobytes() == np.float64(mad(x[:n])).tobytes()
+            assert np.float64(found).tobytes() == np.float64(want).tobytes()
             assert _mad_sorted(keys, med, 0) == (found, split)
             assert _mad_sorted(keys, med, n) == (found, split)
             splits.append(split)
