@@ -298,9 +298,12 @@ def run_timing_study(cfg: BenchConfig) -> TimingReport:
     exponent per method.
 
     The grid's first spec is the template; N (and a midpoint change point)
-    is substituted from ``cfg.n_list``.  One warm-up trial per (N, method) is
-    run and discarded.  Confidence bounds are nonparametric order-statistic
-    ranks at 95%; when the trial count cannot support that level the full
+    is substituted from ``cfg.n_list``.  The trials run round-robin: trial
+    0, a warm-up that is discarded, for every N and then every method,
+    then trial 1 likewise, and so on, so a drift of the machine's speed
+    during the study spreads over all N instead of tilting the fitted
+    exponents.  Confidence bounds are nonparametric order-statistic ranks
+    at 95%; when the trial count cannot support that level the full
     observed range is reported.
     """
     ns = sorted(set(int(n) for n in cfg.n_list))
@@ -309,20 +312,26 @@ def run_timing_study(cfg: BenchConfig) -> TimingReport:
     if max(ns) < 10 * min(ns):
         raise ConfigError("timing lengths must span at least one decade")
     template = cfg.grid[0]
-    rows = []
-    for n in ns:
-        spec_n = dataclasses.replace(template, N=n, cp=n // 2)
-        # trial 0 is the warm-up
-        series = list(_trial_series(spec_n, cfg.base_seed, cfg.trials + 1)[1])
-        for method in cfg.methods:
-            times = []
-            for t, x in enumerate(series):
+    draws = [
+        _trial_series(
+            dataclasses.replace(template, N=n, cp=n // 2), cfg.base_seed, cfg.trials + 1
+        )[1]
+        for n in ns
+    ]
+    times = {(n, i): [] for n in ns for i in range(len(cfg.methods))}
+    for t in range(cfg.trials + 1):
+        for n, draw in zip(ns, draws):
+            x = next(draw)
+            for i, method in enumerate(cfg.methods):
                 t0 = time.perf_counter()
                 detect_oriented(orient(x, method.estimator), method.detector)
                 elapsed = time.perf_counter() - t0
                 if t > 0:
-                    times.append(elapsed)
-            times_sorted = sorted(times)
+                    times[n, i].append(elapsed)
+    rows = []
+    for n in ns:
+        for i, method in enumerate(cfg.methods):
+            times_sorted = sorted(times[n, i])
             ranks = median_ci_ranks(len(times_sorted))
             lo, hi = ranks if ranks else (1, len(times_sorted))
             rows.append(
@@ -332,7 +341,7 @@ def run_timing_study(cfg: BenchConfig) -> TimingReport:
                     median_seconds=float(np.median(times_sorted)),
                     ci_low=times_sorted[lo - 1],
                     ci_high=times_sorted[hi - 1],
-                    times=tuple(times),
+                    times=tuple(times[n, i]),
                 )
             )
     exponents = []

@@ -541,37 +541,30 @@ def _write_trace_csv(path, result: DetectionResult) -> None:
     it is NaN."""
     with open(path, "w", newline="") as fh:
         _write_rows(
-            fh,
-            "n,css,statistic\r\n",
-            "%d,%.17g,%.17g\r\n",
-            result.trace.values,
-            result.statistic_trace,
+            fh, "n,css,statistic\r\n", result.trace.values, result.statistic_trace
         )
 
 
-def _write_rows(fh, header: str, row: str, *columns: np.ndarray) -> None:
-    """Write ``header``, then one line per i = 1..N by the ``%`` template
-    ``row``: i, then the i-th entry of each column.  ``row`` ends in CRLF,
-    as ``csv.writer`` ends its rows, and a NaN in the last column is
-    written as an empty cell.
+def _write_rows(fh, header: str, *columns: np.ndarray) -> None:
+    """Write ``header``, then one line per i = 1..N: i, then the i-th entry
+    of each column, as ``%d`` writes an integer column and ``%.17g`` a
+    float one.  Lines end in CRLF, as ``csv.writer`` ends its rows, and a
+    NaN in the last column is written as an empty cell.
 
-    Each block of ``TRACE_BLOCK_ROWS`` rows is formatted by one ``%`` call
-    on its cells as Python numbers, so neither the cells nor the text of
-    more than one block exist at a time.
+    Each block of ``TRACE_BLOCK_ROWS`` rows is formatted by numpy
+    (:mod:`scaleshift._csvrows`), so the text of no more than one block
+    exists at a time.
     """
+    # imported on first use: a run that writes no rows never pays for
+    # compiling the kernel, some 3 ms where no bytecode is cached
+    from . import _csvrows
+
     fh.write(header)
-    width = len(columns) + 1
     size = columns[0].size
     for lo in range(0, size, TRACE_BLOCK_ROWS):
         hi = min(lo + TRACE_BLOCK_ROWS, size)
-        cells = [None] * ((hi - lo) * width)
-        cells[::width] = range(lo + 1, hi + 1)
-        for j, column in enumerate(columns, 1):
-            cells[j::width] = column[lo:hi].tolist()
-        text = row * (hi - lo) % tuple(cells)
-        # ",nan\r\n" can only be a last cell: every other cell is
-        # followed by a comma
-        fh.write(text.replace(",nan\r\n", ",\r\n"))
+        block = [np.arange(lo + 1, hi + 1)] + [column[lo:hi] for column in columns]
+        fh.write(_csvrows.rows_text(block))
 
 
 def _parse_column(raw: str):
@@ -600,7 +593,7 @@ def _cmd_simulate(args) -> int:
     )
     regime = np.where(np.arange(1, series.size + 1) < cp, 1, 2)
     with out as fh:
-        _write_rows(fh, "index,value,regime\r\n", "%d,%.17g,%d\r\n", series, regime)
+        _write_rows(fh, "index,value,regime\r\n", series, regime)
     return 0
 
 

@@ -145,12 +145,13 @@ def _mad_sorted(keys, med: float, split: int) -> tuple[float, int]:
     ``med`` and rises over the rest: two sorted runs.  The split is the
     least i whose next deviation below is no smaller than the (k - i)-th
     one above, with k the rank of the lower middle; it gives the middle
-    order statistics, with the values and the ``(v_h + v_{h+1}) / 2.0``
-    that sorting |x - med| would give.  Whether a candidate i lies below
-    the split is monotone in i, so the search starts from ``split``, the
-    previous prefix's, tries a step and then gallops outward, doubling
-    its step, before it bisects the bracket it found: O(log d)
-    comparisons for a split that moved by d, never more than O(log n).
+    order statistics, and their mean, as sorting |x - med| and taking
+    :func:`_median_sorted` would give them.  Whether a candidate i lies
+    below the split is monotone in i, so the search starts from
+    ``split``, the previous prefix's, tries a step and then gallops
+    outward, doubling its step, before it bisects the bracket it found:
+    O(log d) comparisons for a split that moved by d, never more than
+    O(log n).
     """
     n = len(keys)
     k = (n + 1) >> 1                  # 1-based rank of the lower middle
@@ -195,7 +196,11 @@ def _mad_sorted(keys, med: float, split: int) -> tuple[float, int]:
         return kth, lo
     below = med - keys[p - 1 - lo] if lo < p else math.inf
     above = keys[p + k - lo] - med if p + k - lo < n else math.inf
-    return (kth + (above if above < below else below)) / 2.0, lo
+    nxt = above if above < below else below
+    total = kth + nxt
+    if total == math.inf and nxt != math.inf:  # as _median_sorted takes it
+        return kth / 2 + nxt / 2, lo
+    return total / 2.0, lo
 
 
 def _bmid_scan(arr: np.ndarray, ns, lengths, meds: np.ndarray, c: float):

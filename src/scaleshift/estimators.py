@@ -94,12 +94,19 @@ def _as_sample(values, min_len: int = 1, what: str = "sample") -> np.ndarray:
 
 
 def _median_sorted(sorted_values) -> float:
-    """Median of an already-sorted list or array."""
+    """Median of an already-sorted list or array.  The mean of the two
+    middle values is taken as Python floats, so it never warns, and as
+    a / 2 + b / 2 where a + b is past the float range, so it stays
+    finite; that sum's halves are normal, so both forms round alike."""
     n = len(sorted_values)
     h = n >> 1
     if n & 1:
         return float(sorted_values[h])
-    return float((sorted_values[h - 1] + sorted_values[h]) / 2.0)
+    a, b = float(sorted_values[h - 1]), float(sorted_values[h])
+    total = a + b
+    if not math.isfinite(total) and math.isfinite(a) and math.isfinite(b):
+        return a / 2 + b / 2
+    return total / 2
 
 
 def _mad_value(values: np.ndarray, med: float) -> float:

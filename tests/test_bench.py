@@ -362,16 +362,18 @@ class TestRunTimingStudy:
         assert len(rep.rows[0].times) == 3  # warm-up discarded
 
     def test_times_of_a_fake_clock(self, monkeypatch):
-        # each detection takes c * N**2 times the next factor: 100 for the
-        # warm-up, then 1..9 shuffled, so with the warm-up dropped the median
-        # is 5 and the 95 % ranks (2, 8); c is a power of two, so every time
-        # is exact
+        # each detection takes c * N**2 times its trial's factor: 100 for
+        # the warm-up, then 1..9 shuffled, so with the warm-up dropped the
+        # median is 5 and the 95 % ranks (2, 8); c is a power of two, so
+        # every time is exact.  The trials run round-robin, every N and
+        # method once per trial, so the trial is the count of detections
+        # over the 10 of a trial
         c = 2.0 ** -30
         factors = [100, 5, 3, 8, 1, 9, 2, 7, 4, 6]
         clock = [0.0, 0]  # now, detections so far
 
         def detect(values):
-            clock[0] += c * values.size ** 2 * factors[clock[1] % len(factors)]
+            clock[0] += c * values.size ** 2 * factors[clock[1] // 10]
             clock[1] += 1
             return 2
 
@@ -386,6 +388,7 @@ class TestRunTimingStudy:
             trials=9,
         )
         rep = run_timing_study(cfg)
+        assert clock[1] == 10 * len(factors)
         assert [
             (r.n, r.method, r.median_seconds, r.ci_low, r.ci_high, r.times)
             for r in rep.rows

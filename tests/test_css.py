@@ -4,7 +4,7 @@ from bisect import insort_left
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from scaleshift import (
@@ -414,11 +414,7 @@ class TestMadSearch:
             insort_left(keys, value)
             if n < 2 or (n % stride and n < x.size):
                 continue
-            # two middle values past half the float range sum to inf in
-            # the median, quietly in the scan's own, with a numpy warning
-            # in the public estimators
-            with np.errstate(over="ignore"):
-                med, want = sample_median(x[:n]), mad(x[:n])
+            med, want = sample_median(x[:n]), mad(x[:n])
             found, split = _mad_sorted(keys, med, split)
             assert np.float64(found).tobytes() == np.float64(want).tobytes()
             assert _mad_sorted(keys, med, 0) == (found, split)
@@ -428,6 +424,10 @@ class TestMadSearch:
 
     @settings(max_examples=200, deadline=None)
     @given(_mad_series(), st.sampled_from([1, ORIENT_STRIDE]))
+    # the two middle deviations, and the two middle values, sum past the
+    # float range
+    @example(np.array([1.7976931348623157e308, -1e308]), 1)
+    @example(np.array([1e308, 1.5e308, 1e308, 1.5e308]), 1)
     def test_carried_split_equals_mad(self, x, stride):
         with warnings.catch_warnings():
             warnings.simplefilter("error")

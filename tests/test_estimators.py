@@ -76,6 +76,26 @@ class TestSampleMedian:
         with pytest.raises(EmptySample):
             sample_median([])
 
+    @pytest.mark.parametrize("values, want", [
+        ([1.7976931348623157e308] * 2, 1.7976931348623157e308),
+        ([-1.7976931348623157e308] * 2, -1.7976931348623157e308),
+        ([1e308, 1.5e308, 1e308, 1.5e308], 1.25e308),
+    ])
+    def test_even_midpoint_past_half_the_float_range(self, values, want):
+        # the two middle values sum past the float range
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert sample_median(values) == want
+
+    @pytest.mark.parametrize("pair", [
+        (1.0, 2.0), (-3.5, 7.25), (0.1, 0.2), (5e-324, 1e-323), (-0.0, 0.0),
+        (1e308, 7.9e307), (-1e308, 1.7976931348623157e308),
+    ])
+    def test_even_midpoint_within_range_is_the_halved_sum(self, pair):
+        a, b = pair
+        got = sample_median([a, b])
+        assert np.float64(got).tobytes() == np.float64((a + b) / 2).tobytes()
+
 
 class TestMad:
     def test_constant(self):
@@ -91,6 +111,15 @@ class TestMad:
     def test_no_normalization(self):
         # raw median of absolute deviations, no consistency factor
         assert mad([0.0, 1.0, 2.0, 3.0, 4.0]) == 1.0
+
+    @pytest.mark.parametrize("values, want", [
+        ([1.7976931348623157e308] * 2, 0.0),
+        ([1e308, 1.5e308, 1e308, 1.5e308], 2.5e307),
+    ])
+    def test_median_past_half_the_float_range(self, values, want):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert mad(values) == want
 
     def test_overflowing_deviation_is_quiet(self):
         # the last deviation from the median is past the float range: it is
