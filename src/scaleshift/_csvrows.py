@@ -1,5 +1,6 @@
 """CSV rows of integer and float columns, formatted by numpy a block at a
-time, byte for byte as ``%d`` and ``%.17g`` format them.
+time, byte for byte as ``%d`` and ``%.17g`` format them, and CSV cells of
+decimal text read by numpy, bit for bit as ``float()`` reads them.
 
 A float's 17 significant digits are the integer nearest y = |x|·10^q,
 q = 16 − floor(log10 |x|).  :func:`round17` takes the product in
@@ -22,6 +23,17 @@ little-endian words:
 A point after digit s + 1 moves digits 1..s+1 down one byte and takes
 the place of digit s + 1.  Word masks indexed by the count of digits
 shown and by s do all of this, so no per-byte gather is needed.
+
+:func:`read_decimals` runs the other way (Clinger's fast path, widened
+as in Lemire's "Number parsing at a gigabyte per second").  The last 24
+bytes of a cell are gathered as three words.  The exponent, at most four
+bytes, is read from the last word and shifted out; the point is taken
+out by moving the bytes below it up one place; and each word is checked
+and converted eight digits at a time by multiply-shift steps.  The
+integer w of at most 19 digits times 10^q is then taken in the same
+double-double arithmetic, and the double nearest to it is kept where the
+residual is proved to lie within half the gap to the next double on its
+own side.  Any other cell is left to ``float()``.
 """
 from __future__ import annotations
 
@@ -51,10 +63,6 @@ _EXP_OFFSET = 310  # decimal exponents -310..309 index the word tables
 
 
 class _Tables(NamedTuple):
-    hi: np.ndarray  # 10^q = hi + lo, q = _Q_LO.._Q_HI
-    hh: np.ndarray  # hi = hh + hl, hh its top 26 bits
-    hl: np.ndarray
-    lo: np.ndarray
     four: np.ndarray  # the word of "dddd", 0..9999
     lead: np.ndarray  # the same without leading zeros; "0" for 0
     last: np.ndarray  # the place of the last non-zero digit; -100 for 0
@@ -63,6 +71,12 @@ class _Tables(NamedTuple):
     keep: np.ndarray  # (2, 18): words 1, 2 of the digits shown, by count
     move: np.ndarray  # (3, 18): words 0..2 of the digits moved, by s
     point: np.ndarray  # (3, 18): words 0..2 of the point, by s
+
+
+def _frozen(tables):
+    for table in tables:  # every caller shares them
+        table.flags.writeable = False
+    return tables
 
 
 def _word(text: bytes, at: int = 0) -> int:
@@ -95,21 +109,27 @@ def _power(q: int) -> tuple[float, float]:
 
 
 @functools.cache
-def _tables() -> _Tables:
-    """Built on first use, in a few milliseconds."""
-    hi, lo = np.array([_power(q) for q in range(_Q_LO, _Q_HI + 1)]).T.copy()
+def _powers() -> np.ndarray:
+    """10^q, q = _Q_LO.._Q_HI, as rows hi, hh, hl, lo: 10^q = hi + lo,
+    and hi = hh + hl with hh the top 26 bits of hi.  Built on first use,
+    in about a millisecond."""
+    hi, lo = np.array([_power(q) for q in range(_Q_LO, _Q_HI + 1)]).T
     # products of hh and hl with a 26-bit half of x are exact
     hh = (hi.view(np.uint64) & np.uint64(2**64 - 2**27)).view(np.float64)
+    table = np.array([hi, hh, hi - hh, lo])
+    table.flags.writeable = False  # every caller shares it
+    return table
+
+
+@functools.cache
+def _tables() -> _Tables:
+    """Built on first use, in a few milliseconds."""
     text = [b"%04d" % i for i in range(10000)]
     digits = np.frombuffer(b"".join(text), np.uint8).reshape(-1, 4)
     nonzero = digits[:, ::-1] != ord("0")
     exps = range(-_EXP_OFFSET, _EXP_OFFSET)
     ff, dot = 0xFF, ord(".")
-    tables = _Tables(
-        hi=hi,
-        hh=hh,
-        hl=hi - hh,
-        lo=lo,
+    return _frozen(_Tables(
         four=digits.view("<u4")[:, 0].astype("<i8"),
         lead=np.frombuffer(
             b"".join((t.lstrip(b"0") or b"0").rjust(4, b"\0") for t in text), "<u4"
@@ -125,10 +145,26 @@ def _tables() -> _Tables:
         keep=_words([{7 + i: ff for i in range(1, n)} for n in range(18)])[1:],
         move=_words([{7 + i: ff for i in range(s + 1)} for s in range(17)] + [{}]),
         point=_words([{7 + s: dot} for s in range(17)] + [{}]),
-    )
-    for table in tables:  # every caller shares them
-        table.flags.writeable = False
-    return tables
+    ))
+
+
+def _product(a: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """a·10^q, q = k + _Q_LO, as p + r: p the double nearest a·hi, and r
+    Dekker's exact error of that product plus a·lo."""
+    hi, hh, hl, lo = np.take(_powers(), k, 1)
+    p = a * hi
+    c = a * _SPLIT
+    ah = c - (c - a)
+    al = a - ah
+    r = (((ah * hh - p) + ah * hl + al * hh) + al * hl) + a * lo
+    return p, r
+
+
+def _digits17(a: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The integer part and the fraction of y = a·10^(16 - e)."""
+    p, r = _product(a, 16 - _Q_LO - e)
+    whole = np.floor(r)
+    return p.astype(np.int64) + whole.astype(np.int64), r - whole
 
 
 def round17(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -138,30 +174,31 @@ def round17(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
     Not proved, and meant for the ``%`` fallback, are values outside
     ``[SAFE_LO, SAFE_HI)`` (zeros, subnormals, the largest values, inf
-    and NaN among them), values whose y has an integer part outside
-    [10^16, 10^17) or rounds to 10^17 (log10 was one off), and values
-    whose fraction of y lies within ``TIE`` of 1/2.  Each rule is decided
-    on the unrounded y, whose error is far below ``TIE``.  Where not
-    proved, d is 10^16 and e is 0.
+    and NaN among them), values whose y rounds past 10^17 (log10 was one
+    low), and values whose fraction of y lies within ``TIE`` of 1/2.  A y
+    under 10^16 (log10 was one high) is taken again one exponent lower,
+    and a y that rounds to 10^17 is 10^16 one exponent higher.  Each rule
+    is decided on the unrounded y, whose error is far below ``TIE``.
+    Where not proved, d is 10^16 and e is 0.
     """
-    t = _tables()
     a = np.abs(x)
     ok = (a >= SAFE_LO) & (a < SAFE_HI)
     a = np.where(ok, a, 1.0)
     e = np.floor(np.log10(a)).astype(np.int64)
-    k = 16 - _Q_LO - e
-    p = a * t.hi[k]
-    c = a * _SPLIT
-    ah = c - (c - a)
-    al = a - ah
-    # y = p + r: r is Dekker's exact error of a·hi, plus a·lo
-    r = (((ah * t.hh[k] - p) + ah * t.hl[k] + al * t.hh[k]) + al * t.hl[k]) + a * t.lo[k]
-    whole = np.floor(r)
-    frac = r - whole
-    d = p.astype(np.int64) + whole.astype(np.int64)
-    ok &= (d >= _LO17) & (d < _HI17) & (np.abs(frac - 0.5) > TIE)
+    d, frac = _digits17(a, e)
+    # log10 rounds up to k for some doubles just below 10^k: floor(log10)
+    # is then one high, and y falls under 10^16.  Above 10^16 - 0.05 the
+    # digits at e - 1 round to 10^17, which is 10^16 at e.
+    low = (_LO17 - d) - frac > 0.01
+    if low.any():
+        e[low] -= 1
+        d[low], frac[low] = _digits17(a[low], e[low])
     d += frac > 0.5
-    ok &= d < _HI17  # rounds to 10^17: log10 was one low
+    ok &= (d >= _LO17) & (d <= _HI17) & (np.abs(frac - 0.5) > TIE)
+    # y rounds to 10^17, which is 10^16 one exponent higher
+    carry = d == _HI17
+    d[carry] = _LO17
+    e[carry] += 1
     d[~ok] = _LO17
     e[~ok] = 0
     return d, e, ok
@@ -264,3 +301,177 @@ def rows_text(columns: list[np.ndarray]) -> str:
         at += 1
     out[:, at - 1 :] = np.frombuffer(b"\r\n", np.uint8)
     return out.tobytes().translate(None, b"\0").decode("ascii")
+
+
+
+# the reader's constants: ASCII "0" and the SWAR masks, all per byte
+_ZEROS = np.uint64(0x3030303030303030)
+_OVER_NINE = np.uint64(0x7676767676767676)  # a digit 0..9 plus this stays < 0x80
+_HIGH_BITS = np.uint64(0x8080808080808080)
+_LOW_BITS = np.uint64(0x7F7F7F7F7F7F7F7F)
+_CASE = np.uint64(0x2020202020202020)  # "E" | this is "e"
+_WINDOW = 24  # a cell's last bytes gathered: three words
+READ_CELLS = 8192  # cells read at a time: their temporaries stay in cache
+_PLACES = np.arange(0, _WINDOW, 8)[:, None]  # the first place of each word
+_PLUS = ord("+")
+_POINT = ord(".")
+_SPACE, _TAB = ord(" "), ord("\t")
+_E_LOWER = ord("e")
+_EXP_BITS = np.uint64(0x7FF0000000000000)
+_FRACTION_BITS = np.uint64(0x000FFFFFFFFFFFFF)
+
+
+@functools.cache
+def _suffix_masks() -> tuple[np.ndarray, np.ndarray]:
+    """(3, 25) arrays of words 0..2 of a 24-byte window: column t of
+    ``keep`` has 0xFF in the window's last t bytes, and the same column of
+    ``fill`` has "0" in its other bytes."""
+    last = np.arange(_WINDOW) >= _WINDOW - np.arange(_WINDOW + 1)[:, None]
+    keep = (last * np.uint8(0xFF)).view("<u8").T.copy()
+    fill = (~last * np.uint8(ord("0"))).view("<u8").T.copy()
+    return _frozen((keep, fill))
+
+
+def _bytes_equal(words: np.ndarray, byte: int) -> np.ndarray:
+    """0x80 in each byte of ``words`` that equals ``byte``, 0 elsewhere."""
+    x = words ^ np.uint64(byte * 0x0101010101010101)
+    return ~(((x & _LOW_BITS) + _LOW_BITS) | x | _LOW_BITS)
+
+
+def _first_marked(marks: np.ndarray) -> np.ndarray:
+    """The place 0..7 of the lowest byte of each word of ``marks`` whose
+    top bit is set, 8 where none is."""
+    x = (marks >> np.uint64(7)) | np.uint64(1 << 63)  # a byte's bit at 8·place
+    low = x & (~x + np.uint64(1))
+    # a power of two converts exactly; its exponent is the bit's place
+    bit = (low.astype(np.float64).view(np.uint64) >> np.uint64(52)).astype(np.int64)
+    return (bit - 1022) >> 3
+
+
+def _eight_digits(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The integers that little-endian words of eight ASCII digits spell,
+    the first digit the lowest byte, and whether each word is digits."""
+    v = words - _ZEROS
+    # a byte under "0" borrows and one over "9" passes 0x80 when 0x76 is
+    # added, either way setting its top bit
+    ok = (v | (v + _OVER_NINE)) & _HIGH_BITS == 0
+    # pairs, then fours, then eights: 2561 = 10·2^8 + 1, and so on
+    v = (v * np.uint64(2561)) >> np.uint64(8) & np.uint64(0x00FF00FF00FF00FF)
+    v = (v * np.uint64(6553601)) >> np.uint64(16) & np.uint64(0x0000FFFF0000FFFF)
+    v = (v * np.uint64(42949672960001)) >> np.uint64(32)
+    return v, ok
+
+
+def read_decimals(text: bytes, start: np.ndarray, end: np.ndarray
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """``float(text[s:e])`` for each cell [s, e) of ``start``, ``end``,
+    and whether it is proved.
+
+    Proved are the cells, less the spaces and tabs around them, of at
+    most 24 bytes of the form ``[+-]?(d+(.d*)?|.d+)([eE][+-]?d{1,3})?``
+    (ASCII digits d) whose digits spell an integer w < 10^19 and whose
+    value w·10^q is zero or has a nearest double in ``[SAFE_LO,
+    SAFE_HI)`` that the residual proves.  Any other cell, and its value,
+    is left to the caller."""
+    data = np.frombuffer(b"".join((b"\0" * _WINDOW, text, b"\0")), np.uint8)
+    start, end = _unpadded(data, start, end)
+    values = np.empty(start.size)
+    proved = np.empty(start.size, bool)
+    for lo in range(0, start.size, READ_CELLS):
+        part = slice(lo, lo + READ_CELLS)
+        values[part], proved[part] = _read_run(data, start[part], end[part])
+    return values, proved
+
+
+def _unpadded(data: np.ndarray, start: np.ndarray, end: np.ndarray
+              ) -> tuple[np.ndarray, np.ndarray]:
+    """``start`` and ``end`` moved past the spaces and tabs at either end
+    of each cell of ``data``, the text after 24 pad bytes, as ``float()``
+    strips them."""
+    start, end = start + _WINDOW, end + _WINDOW
+    for at, step, look in ((start, 1, 0), (end, -1, -1)):
+        i = np.flatnonzero(start < end)
+        while i.size:
+            edge = data[at[i] + look]
+            i = i[(edge == _SPACE) | (edge == _TAB)]
+            at[i] += step
+            i = i[start[i] < end[i]]
+    return start - _WINDOW, end - _WINDOW
+
+
+def _read_run(data: np.ndarray, start: np.ndarray, end: np.ndarray
+              ) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`read_decimals` of some cells of ``data``, the text after 24
+    pad bytes."""
+    keep, fill = _suffix_masks()
+    length = end - start
+    first = data[start + _WINDOW]
+    neg = first == _MINUS
+    signed = (neg | (first == _PLUS)) & (length > 0)
+    ok = length <= _WINDOW
+    # the 24 bytes before a cell's end, those before its digits made 0
+    windows = np.ndarray((data.size - _WINDOW + 1,), f"V{_WINDOW}", data, strides=(1,))
+    mantissa = np.minimum(length, _WINDOW) - signed  # with the exponent yet
+    words = windows[end].view("<u8").reshape(-1, 3).T & np.take(keep, mantissa, 1)
+
+    # an exponent has at most 4 bytes, so its "e" is in the last word
+    marks = _bytes_equal(words[2] | _CASE, _E_LOWER)
+    if marks.any():
+        at = _first_marked(marks).astype(np.uint64)  # the "e", 8 if none
+        sign = (words[2] >> (at + np.uint64(1)) * np.uint64(8)) & np.uint64(0xFF)
+        exp_neg = sign == _MINUS
+        digits = (7 - at.astype(np.int64)) - (exp_neg | (sign == _PLUS))
+        ok &= (marks == 0) | ((digits >= 1) & (digits <= 3))
+        digits = np.clip(digits, 0, 8)
+        exp, exp_ok = _eight_digits((words[2] & keep[2][digits]) | fill[2][digits])
+        ok &= exp_ok
+        q = np.where(exp_neg, -exp.astype(np.int64), exp.astype(np.int64))
+        # shift the exponent out, the mantissa up to the window's end
+        shift = (np.uint64(8) - at) * np.uint64(8)
+        carry = np.uint64(64) - shift  # 64, for no shift, carries nothing
+        words = np.stack([
+            words[0] << shift,
+            (words[1] << shift) | (words[0] >> carry),
+            (words[2] << shift) | (words[1] >> carry),
+        ])
+        mantissa -= (8 - at).astype(np.int64)
+    else:
+        q = np.zeros(start.size, np.int64)
+
+    # the first point, at place 24 if none; a second one is no digit
+    points = _bytes_equal(words, _POINT)
+    at = _PLACES + _first_marked(points)
+    place = np.where(points[0] != 0, at[0], np.where(points[1] != 0, at[1], at[2]))
+    point = place < _WINDOW
+    after = (_WINDOW - 1) - place.astype(np.int64)  # digits after the point
+    q -= np.maximum(after, 0)
+    # take the point out: the bytes below it move up one place
+    up = words << np.uint64(8)
+    up[1:] |= words[:-1] >> np.uint64(56)
+    above = np.take(keep, np.where(point, after, _WINDOW), 1)
+    count = mantissa - point
+    digits = (words & above) | (up & ~above) | np.take(fill, np.maximum(count, 0), 1)
+    groups, digits_ok = _eight_digits(digits)
+    ok &= digits_ok.all(0) & (count >= 1) & (groups[0] < 1000)
+    w = (groups[0] * np.uint64(10**16) + groups[1] * np.uint64(10**8) + groups[2]) * ok
+
+    # w·10^q = wh·10^q + wl·10^q, wh the double nearest w, wl exact
+    wh = w.astype(np.float64)
+    wl = (w - wh.astype(np.uint64)).view(np.int64).astype(np.float64)
+    zero = w == 0
+    tabled = (q >= _Q_LO) & (q <= _Q_HI)
+    ok &= zero | tabled
+    k = np.where(tabled, q - _Q_LO, -_Q_LO)
+    with np.errstate(over="ignore", invalid="ignore"):  # past SAFE_HI
+        p, r = _product(wh, k)
+        r += wl * _powers()[0][k]
+        z = p + r
+        residual = r - (z - p)  # exact, as z - p is
+        bits = z.view(np.uint64)
+        ulp = (bits & _EXP_BITS).view(np.float64) * 2.0**-52
+        # below a power of two the gap to the next double is half as wide
+        ulp *= 1.0 - 0.5 * ((residual < 0) & ((bits & _FRACTION_BITS) == 0))
+        ok &= zero | (
+            (np.abs(residual) < (0.5 - TIE) * ulp) & (z >= SAFE_LO) & (z < SAFE_HI)
+        )
+    return np.where(neg, -z, z), ok

@@ -63,8 +63,7 @@ SEED_ENV_VAR = "SCALESHIFT_SEED"
 MIN_SERIES_LEN = 8
 TRACE_BLOCK_ROWS = 8192
 CSV_BLOCK_CHARS = 1 << 20
-# the only characters of a block that ``_read_plain_block`` reads
-_PLAIN_CHARS = b"0123456789eE+-., \t\r\n"
+_LF, _CR, _COMMA = b"\n\r,"
 
 
 @dataclass(frozen=True)
@@ -144,9 +143,9 @@ def ingest_csv(path, column=1) -> TimeSeries:
     bytes that do not decode give a :class:`ParseError` without one.
 
     The row loop in :func:`_read_column` defines what a file means.  Past
-    the first value, plain numeric text is read in bulk by
-    :func:`_read_plain_rest`; a file it refuses is read again by the row
-    loop alone, so the values and errors are the same either way.
+    the first value, the file is read in bulk by :func:`_read_plain_rest`;
+    a file it refuses is read again by the row loop alone, so the values
+    and errors are the same either way.
     """
     values = _read_column(path, column, bulk=True)
     if values is None:
@@ -256,42 +255,76 @@ def _read_plain_rest(fh, col_idx: int) -> list[np.ndarray] | None:
 
 
 def _read_plain_block(block: str, col_idx: int, limit: int) -> np.ndarray | None:
-    """Column ``col_idx`` of the CSV lines ``block`` by ``np.loadtxt``, or
-    None if the row loop might read the block differently.
+    """Column ``col_idx`` of the CSV lines ``block``, or None if the row
+    loop might read the block differently.
 
-    The row loop reads a cell with csv and ``float()``.  On a block of
-    ``_PLAIN_CHARS`` alone, in which every CR ends a CRLF, csv's records
-    are the lines and its cells the text between commas: a quote would
-    shift the cells, a lone CR would end a record, NUL is csv's to judge,
-    and ``float()`` alone accepts underscores and non-ASCII digits.  A line
-    no longer than the field size limit holds no cell that csv rejects.
-    ``np.loadtxt`` then skips the empty lines the row loop skips, raises on
-    a short row or a bad cell, and parses a cell with the parser ``float()``
-    uses, so it returns the same doubles; a non-finite one is the row loop's
-    error to report.  It raises on the row loop's other blank rows too, so
-    a refused block that holds one is read once more without them.
+    The row loop reads a cell with csv and ``float()``.  Where the block
+    holds no quote, no NUL and no CR but those of CRLFs, csv's records are
+    its lines and its cells the text between commas, whatever other
+    columns hold; a line of no more bytes than the field size limit holds
+    no cell that csv rejects.  Each cell is read by
+    :func:`scaleshift._csvrows.read_decimals`, or by ``float()`` where that
+    proves no value, so the values are ``float()``'s.  A line whose cell
+    ``float()`` does not read as a finite number is skipped where the row
+    loop skips it as blank; any other such line is the row loop's error to
+    report.
     """
-    if not block.isascii() or block.encode("ascii").translate(None, _PLAIN_CHARS):
+    # imported on first use, as _write_rows does
+    from . import _csvrows
+
+    text = block.encode()
+    if b'"' in text or b"\0" in text:
         return None
-    if block.count("\r") != block.count("\r\n"):
+    buf = np.frombuffer(text, np.uint8)
+    found = np.empty(buf.size, bool)  # one mask, reused for each byte sought
+    newlines = np.flatnonzero(np.equal(buf, _LF, out=found))
+    crlf = (newlines > 0) & (buf[newlines - 1] == _CR)
+    if b"\r" in text:
+        if np.count_nonzero(np.equal(buf, _CR, out=found)) != np.count_nonzero(crlf):
+            return None  # a lone CR
+    starts = np.concatenate(([0], newlines + 1))
+    ends = np.append(newlines - crlf, len(text))
+    if text.endswith(b"\n"):
+        starts, ends = starts[:-1], ends[:-1]
+    if (ends - starts).max(initial=0) > limit:
         return None
-    lines = block.splitlines()
-    if max(map(len, lines), default=0) > limit:
-        return None
-    if not block.strip():
-        return np.empty(0)  # blank lines only: np.loadtxt would warn
-    try:
-        values = np.loadtxt(
-            lines, delimiter=",", usecols=col_idx, comments=None, dtype=float,
-            ndmin=1,
-        )
-    except ValueError:
-        # drop the blank rows: nothing but spaces, tabs and commas
-        kept = [line for line in lines if line.strip(" \t,")]
-        if len(kept) == len(lines):
+    commas = np.flatnonzero(np.equal(buf, _COMMA, out=found))
+    cell_starts, cell_ends = _cells(commas, starts, ends, col_idx, buf.size)
+    values, proved = _csvrows.read_decimals(text, cell_starts, cell_ends)
+    blank = []
+    for i in np.flatnonzero(~proved).tolist():
+        try:
+            v = float(text[cell_starts[i] : cell_ends[i]].decode())
+        except ValueError:
+            v = math.nan
+        if math.isfinite(v):
+            values[i] = v
+        elif text[starts[i] : ends[i]].decode().replace(",", "").strip():
             return None
-        return _read_plain_block("\n".join(kept), col_idx, limit)
-    return values if np.isfinite(values).all() else None
+        else:
+            blank.append(i)
+    return np.delete(values, blank) if blank else values
+
+
+def _cells(commas: np.ndarray, starts: np.ndarray, ends: np.ndarray,
+           col_idx: int, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """The start and end of cell ``col_idx`` of each line [start, end) of
+    a text of ``size`` bytes with ``commas`` at these places; a line short
+    of the cell gives an empty one at its end."""
+    width, extra = divmod(commas.size, max(starts.size, 1))
+    if width and not extra and col_idx <= width:
+        # the same number of commas on every line: a row of the grid each
+        grid = commas.reshape(-1, width)
+        if (grid[:, 0] >= starts).all() and (grid[:, -1] < ends).all():
+            return (
+                grid[:, col_idx - 1] + 1 if col_idx else starts,
+                grid[:, col_idx] if col_idx < width else ends,
+            )
+    # the comma after cell col_idx of a line is the line's comma col_idx
+    commas = np.concatenate((commas, np.full(col_idx + 1, size + 1)))
+    k = np.searchsorted(commas, starts) + col_idx
+    cell_ends = np.minimum(commas[k], ends)
+    return np.minimum(commas[k - 1] + 1, ends) if col_idx else starts, cell_ends
 
 
 def preprocess(ts: TimeSeries, steps: tuple[tuple, ...]) -> TimeSeries:

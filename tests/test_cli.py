@@ -287,6 +287,14 @@ _PLAIN_CELLS = st.one_of(
     st.integers(-(10**20), 10**20).map(str),
     st.sampled_from(["+1", ".5", "5.", "-0", "1E+5", "0001.5e-3", "1e-320"]),
 )
+# cells that only float() reads: padded, with underscores, non-ASCII digits
+_FLOAT_ONLY_CELLS = st.sampled_from([" 2.5 ", "1_000", "٣", "\t-7e-3 ", "١٢.٥"])
+_TARGET_CELLS = st.one_of(_PLAIN_CELLS, _FLOAT_ONLY_CELLS)
+# what other columns of a recording hold
+_TEXT_CELLS = st.sampled_from([
+    "2024-01-01T00:00:00", "2024-01-01 09:30:00.5", "open", "température",
+    "東京", "e", "1.2.3", "",
+])
 _PAD = st.sampled_from(["", " ", "\t", " \t "])
 _BLANK_ROWS = st.sampled_from(["", " ", "\t ", ",", " , ,\t"])
 # one each of the inputs the bulk reader must leave to the row loop
@@ -307,9 +315,9 @@ _HAZARDS = {
 
 
 class TestBulkIngest:
-    """Plain numeric text past the first value is read by ``np.loadtxt``;
-    whatever it reads must equal the row loop alone, value bytes or error
-    (type, message, line)."""
+    """The rest of a file past its first value is read in blocks by
+    ``_read_plain_block``; whatever it reads must equal the row loop alone,
+    value bytes or error (type, message, line)."""
 
     @settings(
         max_examples=250,
@@ -325,6 +333,8 @@ class TestBulkIngest:
                 st.tuples(_PLAIN_CELLS, _PLAIN_CELLS, _PLAIN_CELLS, _PLAIN_CELLS).map(
                     ",".join
                 ),
+                st.tuples(_TEXT_CELLS, _TARGET_CELLS, _TEXT_CELLS).map(",".join),
+                st.tuples(_TARGET_CELLS, _TARGET_CELLS, _TARGET_CELLS).map(",".join),
                 _BLANK_ROWS,
             ),
             min_size=1,
@@ -385,7 +395,7 @@ class TestBulkIngest:
     @pytest.mark.parametrize("blank", ["  ", "\t", " ,\t,", ",,"])
     def test_blank_looking_rows_take_the_bulk_path(self, tmp_path, monkeypatch,
                                                    blank):
-        # np.loadtxt raises on these rows, which the row loop skips
+        # no cell of these rows is a number, and the row loop skips them
         rest = self._spy(monkeypatch, "_read_plain_rest")
         path = _write(
             tmp_path, "w.csv",
@@ -413,7 +423,7 @@ class TestBulkIngest:
         with _row_loop_only():
             assert ingest_csv(path, 2).values.tobytes() == x.tobytes()
 
-    @pytest.mark.parametrize("hazard", ["1_0", "inf", "1e999", "1,2,3\r4,5"])
+    @pytest.mark.parametrize("hazard", ["inf", "1e999", "1,2,3\r4,5"])
     def test_hazard_only_in_a_later_block(self, tmp_path, monkeypatch, hazard):
         x = np.random.default_rng(4).standard_normal(60_000)
         lines = ["v"] + [repr(v) for v in x.tolist()]
@@ -424,6 +434,38 @@ class TestBulkIngest:
         assert blocks[0] is not None and blocks[-1] is None
         with _row_loop_only():
             assert got == _ingest_outcome(path, 1)
+
+    @pytest.mark.parametrize("cell", ["1_0", " 2.5 ", "٣", "1e-320"])
+    def test_float_only_cell_in_a_later_block(self, tmp_path, monkeypatch, cell):
+        # float() reads these cells, and so the bulk reader does too
+        x = np.random.default_rng(4).standard_normal(60_000)
+        lines = ["v"] + [repr(v) for v in x.tolist()]
+        lines.insert(len(lines) - 5, cell)
+        path = _write(tmp_path, "late.csv", "\n".join(lines) + "\n")
+        blocks = self._spy(monkeypatch, "_read_plain_block")
+        got = _ingest_outcome(path, 1)
+        assert len(blocks) == 2 and all(b is not None for b in blocks)
+        want = np.insert(x, x.size - 5, float(cell))
+        assert got == want.tobytes()
+        with _row_loop_only():
+            assert _ingest_outcome(path, 1) == got
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"])
+    def test_timestamp_column_takes_the_bulk_path(self, tmp_path, monkeypatch,
+                                                  newline):
+        x = np.random.default_rng(5).standard_normal(60_000) * 50 + 100
+        stamps = np.datetime64("2024-01-01T00:00:00") + np.arange(x.size)
+        text = "time,value" + newline + "".join(
+            f"{t},{v!r}{newline}" for t, v in zip(stamps.astype(str), x.tolist())
+        )
+        path = _write(tmp_path, "t.csv", text)
+        assert len(text) > 2 * cli.CSV_BLOCK_CHARS
+        blocks = self._spy(monkeypatch, "_read_plain_block")
+        got = _ingest_outcome(path, "value")
+        assert len(blocks) == 3 and all(b is not None for b in blocks)
+        assert got == x.tobytes()
+        with _row_loop_only():
+            assert _ingest_outcome(path, "value") == got
 
     def test_oversized_blank_line_in_its_own_block(self, tmp_path, monkeypatch):
         # the row loop's csv reader rejects a blank line over the field

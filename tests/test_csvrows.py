@@ -3,7 +3,9 @@
 every value it leaves to the ``%`` fallback, byte for byte."""
 import csv
 import io
+import decimal
 import math
+from decimal import Decimal
 import subprocess
 import sys
 
@@ -37,6 +39,12 @@ def _check_floats(values):
 
 def _proved(values) -> np.ndarray:
     return _csvrows.round17(np.asarray(values, dtype=np.float64))[2]
+
+
+def _is_tie(v: float) -> bool:
+    """Whether |v| lies exactly halfway between two 17-digit decimals."""
+    digits = "".join(map(str, Decimal(abs(v)).as_tuple().digits))
+    return digits[17:].rstrip("0") == "5"
 
 
 def _neighbours(x: float) -> list[float]:
@@ -91,14 +99,31 @@ class TestFloatCells:
         assert not _proved([value])[0]
         _check_floats([value, -value, 0.25])
 
-    def test_an_off_by_one_exponent_falls_back(self):
+    def test_an_off_by_one_exponent_is_taken_again(self):
         # log10 of the double just below 10^k can round up to k; those
-        # that do fall back instead of printing 16 digits
-        below = [np.nextafter(float(f"1e{k}"), 0.0) for k in range(-280, 290)]
-        e_hi = np.floor(np.log10(below)) == np.arange(-280, 290)
-        assert e_hi.any()
-        assert not _proved(np.array(below)[e_hi]).any()
+        # that do are taken again one exponent lower, and only ties fall
+        # back
+        below = np.array([np.nextafter(float(f"1e{k}"), 0.0) for k in range(-280, 290)])
+        e_hi = below[np.floor(np.log10(below)) == np.arange(-280, 290)]
+        assert e_hi.size > 100
+        assert all(_is_tie(v) for v in e_hi[~_proved(e_hi)].tolist())
         _check_floats(below)
+
+    def test_few_near_powers_of_ten_fall_back(self):
+        # the doubles within 4 units in the last place of 10^k: only those
+        # outside the safe range and the ties are left to %
+        values = []
+        for k in range(-290, 300):
+            lo = hi = float(f"1e{k}")
+            values.append(lo)
+            for _ in range(4):
+                lo, hi = np.nextafter(lo, 0.0), np.nextafter(hi, math.inf)
+                values += [lo, hi]
+        assert len(values) == 5310
+        left = np.array(values)[~_proved(values)]
+        assert all(_is_tie(v) or v < _csvrows.SAFE_LO for v in left.tolist())
+        assert left.size < 10
+        _check_floats(values)
 
     @pytest.mark.parametrize("step", [-math.inf, math.inf])
     def test_a_log10_one_unit_off_only_falls_back(self, step, monkeypatch):
@@ -166,9 +191,128 @@ class TestRowsText:
 
 
 def test_import_builds_no_table():
-    # the tables are built on first use, never when the CLI is imported
+    # the tables are built on first use, never when the CLI is imported,
+    # and reading builds only the powers of ten and the masks
     code = (
-        "import scaleshift.cli, scaleshift._csvrows as r; "
-        "assert r._tables.cache_info().currsize == 0"
+        "import numpy as np, scaleshift.cli, scaleshift._csvrows as r; "
+        "built = lambda: [f.cache_info().currsize for f in "
+        "(r._powers, r._suffix_masks, r._tables)]; "
+        "assert built() == [0, 0, 0]; "
+        "r.read_decimals(b'1.5', np.array([0]), np.array([3])); "
+        "assert built() == [1, 1, 0]"
     )
     subprocess.run([sys.executable, "-c", code], check=True)
+
+
+def _read(cells: list[str]) -> tuple[np.ndarray, np.ndarray]:
+    """``read_decimals`` of ``cells``, one per line of one text."""
+    raw = [c.encode() for c in cells]
+    ends = np.cumsum([len(c) + 1 for c in raw]) - 1
+    text = b"\n".join(raw)
+    return _csvrows.read_decimals(text, ends - [len(c) for c in raw], ends)
+
+
+def _float_or_none(cell: str):
+    try:
+        return float(cell)
+    except ValueError:
+        return None
+
+
+def _check_cells(cells: list[str]) -> np.ndarray:
+    """Every cell the kernel proves is ``float()``'s double, bit for bit;
+    returns the proved mask."""
+    values, proved = _read(cells)
+    for cell, v, ok in zip(cells, values.tolist(), proved.tolist()):
+        if ok:
+            want = _float_or_none(cell)
+            assert want is not None and math.isfinite(want), cell
+            assert np.float64(v).tobytes() == np.float64(want).tobytes(), cell
+    return proved
+
+
+_DIGITS = st.text("0123456789", max_size=25)
+
+
+@st.composite
+def _decimal_texts(draw) -> str:
+    """Decimal text of up to 25 digits: a sign, leading zeros, a point,
+    an exponent of 0..400 either way, and spaces or tabs around it."""
+    whole, frac = draw(_DIGITS), draw(_DIGITS)
+    text = draw(st.sampled_from(["", "+", "-"])) + "0" * draw(st.integers(0, 3))
+    text += whole[: 25 - len(frac)]
+    if draw(st.booleans()) or not whole:
+        text += "." + frac
+    if draw(st.booleans()):
+        text += draw(st.sampled_from("eE")) + draw(st.sampled_from(["", "+", "-"]))
+        text += draw(st.sampled_from(["", "0", "00"])) + str(draw(st.integers(0, 400)))
+    pad = st.sampled_from(["", "", " ", "\t", " \t"])
+    return draw(pad) + text + draw(pad)
+
+
+def _near_midpoints(x: float) -> list[str]:
+    """Decimal text of 17 to 19 digits on both sides of the midpoint of
+    ``x`` and the next double up, and the midpoint itself where it has no
+    more than 19 digits."""
+    mid = (Decimal(x) + Decimal(np.nextafter(x, math.inf))) / 2
+    texts = [str(+mid)] if len(mid.as_tuple().digits) <= 19 else []
+    for digits in (17, 18, 19):
+        for rounding in (decimal.ROUND_FLOOR, decimal.ROUND_CEILING):
+            ctx = decimal.Context(prec=digits, rounding=rounding)
+            texts.append(str(ctx.plus(mid)))
+    return texts
+
+
+class TestReadDecimals:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False,
+                              allow_subnormal=True), min_size=1, max_size=40))
+    def test_double_texts(self, xs):
+        _check_cells([t for x in xs for t in (repr(x), format(x, ".17g"),
+                                              format(x, ".6e"))])
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(_decimal_texts(), min_size=1, max_size=40))
+    def test_digit_strings(self, cells):
+        _check_cells(cells)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.floats(min_value=1e-280, max_value=1e290), min_size=1,
+                    max_size=20))
+    def test_near_midpoints(self, xs):
+        _check_cells([t for x in xs for t in _near_midpoints(x)])
+
+    SPECIAL = {
+        # 2^53 + 1 and 2^53 + 3 lie halfway between two doubles, and so
+        # does 2^52 + 1/2: float() rounds them to even
+        "9007199254740993": False, "9007199254740995": False,
+        "4503599627370496.5": False, ".5": True, "5.": True, "-0": True,
+        "+1E+5": True, "1e-320": False, "1.7976931348623157e308": False,
+        "inf": False, "nan": False, "1_0": False, "0e999": True, "-.5e-3": True,
+        "": False, "-": False, ".": False, "1e": False, "1e+": False,
+        "1.2.3": False, "12345678901234567890": False, " 1": True,
+        "\t-2.5e-1  ": True, "   ": False, "1 2": False, "\x0c1": False,
+    }
+
+    def test_special_cells(self):
+        cells = list(self.SPECIAL)
+        proved = _check_cells(cells)
+        assert dict(zip(cells, proved.tolist())) == self.SPECIAL
+        values = _read(cells)[0]
+        assert np.signbit(values[cells.index("-0")])
+
+    def test_cells_among_other_text(self):
+        # the kernel reads only [start, end): bytes around a cell are any text
+        text = "2024-01-01T00:00:00,1.5e3,x.5,-2.25,température,7".encode()
+        cells = [(20, 25), (28, 29), (30, 35), (len(text) - 1, len(text))]
+        start, end = np.array(cells).T
+        values, proved = _csvrows.read_decimals(text, start, end)
+        assert proved.all() and values.tolist() == [1500.0, 5.0, -2.25, 7.0]
+
+    def test_texts_of_ordinary_doubles_are_proved(self):
+        # a kernel that always falls back would pass the tests above
+        rng = np.random.default_rng(29)
+        x = 10.0 ** rng.uniform(-250, 250, 20000) * rng.choice([-1.0, 1.0], 20000)
+        cells = [t for v in x.tolist() for t in (repr(v), format(v, ".17g"))]
+        assert len(cells) > _csvrows.READ_CELLS
+        assert _check_cells(cells).mean() >= 0.99
