@@ -17,9 +17,7 @@ from .estimators import (
     BmidConfig,
     QcvBounds,
     _as_sample,
-    _bmid_block,
-    _bmid_finish,
-    _bmid_scale,
+    _bmid_rows,
     _median_sorted,
     _window_variance,
 )
@@ -37,12 +35,6 @@ __all__ = [
 KIND_CLASSICAL = "classical"
 KIND_BMID = "bmid"
 KIND_QCV = "qcv"
-
-# A BMID scan evaluates its prefixes a block at a time: a block's rows
-# times its largest prefix length stay within this many cells, though a
-# single row may pass it alone.
-BMID_BLOCK_CELLS = 1 << 14
-
 
 @dataclass(frozen=True)
 class ScaleEstimatorSpec:
@@ -197,28 +189,21 @@ def _mad_sorted(keys, med: float, split: int) -> tuple[float, int]:
     below = med - keys[p - 1 - lo] if lo < p else math.inf
     above = keys[p + k - lo] - med if p + k - lo < n else math.inf
     nxt = above if above < below else below
-    total = kth + nxt
-    if total == math.inf and nxt != math.inf:  # as _median_sorted takes it
-        return kth / 2 + nxt / 2, lo
-    return total / 2.0, lo
+    return _median_sorted((kth, nxt)), lo
 
 
-def _bmid_scan(arr: np.ndarray, ns, lengths, meds: np.ndarray, c: float):
+def _bmid_scan(arr: np.ndarray, ns, meds: np.ndarray, c: float):
     """Biweight midvariances and degenerate flags of the prefixes of
-    ``arr`` at the lengths ``ns``, a list, and ``lengths``, the same as an
-    array; their medians are written to ``meds``.
+    ``arr`` at the lengths ``ns``, a list; their medians are written to
+    ``meds``.
 
     Every point is bisected into one sorted list, and each prefix in
     ``ns`` takes its median and MAD from it, the MAD search starting from
-    the previous prefix's split.  The kernel of :func:`bmid_variance`
-    then runs in three steps: k = c * MAD for all rows, the elementwise
-    chain a block at a time, each block's rows times its largest n at
-    most ``BMID_BLOCK_CELLS``, with each row's two sums written to one
-    array, and the variances and flags for all rows."""
+    the previous prefix's split.  The kernel of :func:`bmid_variance`,
+    :func:`_bmid_rows`, then evaluates every prefix in one call."""
     values = arr.tolist()
     keys = []
     mads = np.empty(len(ns))
-    bounds = [0]  # where each block starts
     m = split = 0
     for i, n in enumerate(ns):
         for x in values[m:n]:
@@ -226,15 +211,7 @@ def _bmid_scan(arr: np.ndarray, ns, lengths, meds: np.ndarray, c: float):
         m = n
         meds[i] = med = _median_sorted(keys)
         mads[i], split = _mad_sorted(keys, med, split)
-        if i > bounds[-1] and (i + 1 - bounds[-1]) * n > BMID_BLOCK_CELLS:
-            bounds.append(i)
-    bounds.append(len(ns))
-    k, big, back = _bmid_scale(mads, c)
-    sums = np.empty((len(ns), 2))
-    for start, stop in zip(bounds, bounds[1:]):
-        rows = slice(start, stop)
-        _bmid_block(arr, ns[rows], meds[rows], k[rows], big[rows], sums[rows])
-    return _bmid_finish(lengths, sums, k, back, mads)
+    return _bmid_rows(arr, ns, meds, mads, c)
 
 
 def _qcv_point(window: np.ndarray, d: np.ndarray) -> tuple[float, bool]:
@@ -290,18 +267,20 @@ def _robust_scan(
     ``ns`` (each >= 2), and those n whose prefix is degenerate.
 
     Every point enters the sorted prefix, but the scale is estimated only
-    at the n in ``ns``: by :func:`_bmid_scan` or :func:`_qcv_scan`.  The
-    dense and the spaced lengths give the same C_n bit for bit.
+    at the n in ``ns``: by :func:`_bmid_scan`, whose one call of
+    :func:`_bmid_rows` is the call :func:`bmid_variance` makes on one row,
+    or by :func:`_qcv_scan`.  The dense and the spaced lengths give the
+    same C_n bit for bit.
     """
     lengths = np.asarray(ns)
     ns = lengths.tolist()
     meds = np.empty(len(ns))
     # Squares past the float range become inf, and sums of such values
-    # NaN, which NonFiniteTrace reports; a zero MAD's BMID row divides by
-    # zero and is flagged.  One errstate per scan, not per prefix.
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+    # NaN, which NonFiniteTrace reports.  One errstate per scan, not per
+    # prefix; the BMID rows quiet their own arithmetic.
+    with np.errstate(over="ignore", invalid="ignore"):
         if spec.kind == KIND_BMID:
-            var, flat = _bmid_scan(arr, ns, lengths, meds, spec.bmid_config.c)
+            var, flat = _bmid_scan(arr, ns, meds, spec.bmid_config.c)
         else:
             var, flat = _qcv_scan(arr, ns, lengths, meds, spec.qcv_bounds)
         out = lengths * (var + meds * meds) - var
@@ -325,13 +304,12 @@ def robust_css(values, spec: ScaleEstimatorSpec) -> CssTrace:
     insert) and calls the estimators' own median, BMID and QCV kernels on
     it; only the selections are incremental.  The MAD is picked from the
     V-shaped |x - med|, its search starting from the previous prefix's
-    split (:func:`_mad_sorted`).  BMID runs the kernel of
-    :func:`bmid_variance` once the medians and MADs are known: its
-    elementwise chain a block of prefixes at a time, each row summed as
-    the 1-D prefix would be, and its k and final formula once for all
-    prefixes.  QCV windows are contiguous slices of a numpy copy of the
-    sorted prefix.  It matches a from-scratch recomputation of every
-    prefix through the public estimators bit for bit.
+    split (:func:`_mad_sorted`).  Once the medians and MADs are known,
+    BMID evaluates every prefix in one call of the kernel that
+    :func:`bmid_variance` calls on one row.  QCV windows are contiguous
+    slices of a numpy copy of the sorted prefix.  It matches a
+    from-scratch recomputation of every prefix through the public
+    estimators bit for bit.
     """
     arr = _as_sample(values, min_len=3, what="series")
     if spec.kind == KIND_CLASSICAL:

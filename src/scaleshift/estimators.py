@@ -114,27 +114,16 @@ def _mad_value(values: np.ndarray, med: float) -> float:
     return _median_sorted(np.sort(np.abs(values - med)))
 
 
-def _bmid_scale(mads: np.ndarray, c: float):
-    """k = c * MAD for each row of a BMID evaluation; which rows have a
-    c * MAD past the float range; and the factor that scales each row's
-    variance back.  Those rows take k from their MAD scaled by 2^-64,
-    exactly, and :func:`_bmid_block` scales their sample and median
-    likewise, so u is unchanged and the variance comes back by 2^128;
-    other rows keep scale 1.0.  Run it under the caller's
-    ``np.errstate(over="ignore")``."""
-    k = c * mads
-    big = k == math.inf
-    back = 1.0
-    if big.any():
-        k[big] = c * (mads[big] * 2.0**-64)
-        back = np.where(big, 2.0**128, 1.0)
-    return k, big, back
+# A BMID evaluation runs its rows a block at a time: a block's rows
+# times its largest prefix length stay within this many cells, though a
+# single row may pass it alone.
+BMID_BLOCK_CELLS = 1 << 14
 
 
 def _bmid_block(values: np.ndarray, ns, meds, k, big, sums) -> None:
     """The two biweight sums of the prefixes ``values[:n]``, one row per
-    n in the increasing ``ns``, given each prefix's median and the k and
-    rescale rows of :func:`_bmid_scale`: row b's sum(w (5w - 4)) and
+    n in the increasing ``ns``, given each prefix's median, its k and
+    whether :func:`_bmid_rows` rescaled it: row b's sum(w (5w - 4)) and
     sum(min(u^2, 1) w^4) go to ``sums[b]``.
 
     With u = (x - med) / k, every point is weighted by w = 1 - min(u^2, 1),
@@ -147,10 +136,10 @@ def _bmid_block(values: np.ndarray, ns, meds, k, big, sums) -> None:
     row's median and k broadcast; the cells past a row's n are never
     summed.  Each row's two sums are one ``np.add.reduce`` over its first
     n cells, numpy's pairwise sum for length n, so a row is bit for bit
-    the 1-D evaluation of its prefix alone.  It enters no ``np.errstate``:
-    the caller quiets the block, where a MAD near the underflow limit
-    sends |u| to inf, outside the weights as it should, and a zero MAD's
-    row computes NaN that :func:`_bmid_finish` flags.
+    the 1-D evaluation of its prefix alone.  It runs under the
+    ``np.errstate`` of :func:`_bmid_rows`, where a MAD near the underflow
+    limit sends |u| to inf, outside the weights as it should, and a zero
+    MAD's row computes NaN that is flagged there.
     """
     x = values[: ns[-1]]
     if big.any():  # the rows past the float range, in units of 2^64
@@ -173,65 +162,99 @@ def _bmid_block(values: np.ndarray, ns, meds, k, big, sums) -> None:
         _add(terms[:, b, :n], 1, out=sums[b])
 
 
-def _bmid_finish(ns, sums, k, back, mads):
-    """Biweight midvariances from the rows' sums of :func:`_bmid_block`,
-    their k and rescale factor, and whether each row is degenerate (zero
-    MAD or zero weight sum, variance 0 in its place).
+def _bmid_rows(values: np.ndarray, ns, meds: np.ndarray, mads: np.ndarray, c: float):
+    """Biweight midvariances of the prefixes ``values[:n]``, one row per
+    n in the increasing list ``ns``, given each prefix's median and MAD;
+    and whether each row is degenerate (zero MAD or zero weight sum,
+    variance 0 in its place).  :func:`bmid_variance` passes one row and
+    the trace scan all of its prefixes, so both give the same bits.
 
-    The dimensionless ratio n sum(u^2 w^4) / sum(w (5w - 4))^2 is formed
-    before it is scaled by k twice, so the result overflows only where the
-    variance does.  It underflows where it should not only when u^2 does
-    for every weighted point, k some 1e154 times their deviations."""
-    den, num = sums.T
-    var = ns * num / (den * den) * k * k * back
+    k = c * MAD.  A row whose k is past the float range takes k from its
+    MAD scaled by 2^-64, exactly, and :func:`_bmid_block` scales its
+    sample and median likewise, so u is unchanged and the variance comes
+    back by 2^128.  The rows go to :func:`_bmid_block` a block at a time,
+    as many as keep rows times the block's largest n within
+    ``BMID_BLOCK_CELLS``.  The dimensionless ratio
+    n sum(u^2 w^4) / sum(w (5w - 4))^2 is formed before it is scaled by k
+    twice, so the result overflows only where the variance does.  It
+    underflows where it should not only when u^2 does for every weighted
+    point, k some 1e154 times their deviations."""
+    count = len(ns)
+    sums = np.empty((count, 2))
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        k = c * mads
+        big = k == math.inf
+        back = 1.0
+        if big.any():
+            k[big] = c * (mads[big] * 2.0**-64)
+            back = np.where(big, 2.0**128, 1.0)
+        start = 0
+        for stop in range(1, count + 1):
+            if stop == count or (stop + 1 - start) * ns[stop] > BMID_BLOCK_CELLS:
+                rows = slice(start, stop)
+                _bmid_block(
+                    values, ns[rows], meds[rows], k[rows], big[rows], sums[rows]
+                )
+                start = stop
+        den, num = sums.T
+        var = np.asarray(ns) * num / (den * den) * k * k * back
     flat = (mads == 0.0) | (den == 0.0)
     return np.where(flat, 0.0, var), flat
 
 
-def _window_variance(w: np.ndarray, d: np.ndarray) -> float:
-    """Mean squared deviation over the QCV window ``w``, a run of sorted
-    order statistics (QCV inner kernel); ``d``, at least as long as
-    ``w``, holds the deviations, so a trace scan reuses one buffer.
+def _window_variance(w: np.ndarray, d: np.ndarray, ddof: int = 0) -> float:
+    """Mean squared deviation of ``w`` about its mean, with divisor
+    ``w.size - ddof``: QCV's inner kernel over a window of sorted order
+    statistics, and the sample variance with ``ddof=1``.  ``d``, at
+    least as long as ``w``, holds the deviations, so a trace scan reuses
+    one buffer.
 
     A finite result of the two-pass formula is returned as it is.  That
-    formula also overflows where only the window's sum or one squared
-    deviation does (``np.full(10, 1e308)`` sums to inf); there the
-    deviations about the window's middle order statistic are halved,
-    scaled into [-1, 1] by a power of two, squared and scaled back, so
-    the result is inf only where the variance itself overflows.  It runs
-    once per prefix of a trace scan, so it enters no ``np.errstate``: the
-    caller quiets the two-pass formula's overflow, and the rescue raises
-    none."""
+    formula also overflows where only the sum or one squared deviation
+    does (``np.full(10, 1e308)`` sums to inf); there the deviations about
+    the middle element are halved, scaled into [-1, 1] by the power of
+    two above the largest of them, squared and scaled back, so the
+    result is inf only where the variance itself overflows.  It runs
+    once per prefix of a trace scan, so it enters no ``np.errstate``:
+    the caller quiets the two-pass formula's overflow, and the rescue
+    raises none."""
     m = w.size
     d = np.subtract(w, _add(w) / m, out=d[:m])
     d *= d
-    var = float(_add(d) / m)
+    var = float(_add(d) / (m - ddof))
     if var < math.inf:
         return var
-    # halved, no difference of two window values overflows
+    # halved, no difference of two values overflows
     h = w * 0.5
     d = h - h[m >> 1]
-    p = math.frexp(max(-d[0], d[-1]))[1]  # |d| < 2^p, or d is all zero
+    p = math.frexp(np.abs(d).max())[1]  # |d| < 2^p, or d is all zero
     d *= math.ldexp(1.0, -p)
     d -= _add(d) / m
     try:
-        return math.ldexp(float(_add(d * d) / m), 2 * p + 2)
+        return math.ldexp(float(_add(d * d) / (m - ddof)), 2 * p + 2)
     except OverflowError:  # the variance is past the float range
         return math.inf
 
 
 def sample_mean(values) -> float:
-    """Arithmetic mean."""
+    """Arithmetic mean.  Where the sum overflows, the values are summed
+    scaled by the power of two above the largest of them, so the mean is
+    finite and quiet; elsewhere it is the plain sum over N."""
     arr = _as_sample(values)
-    return float(np.sum(arr) / arr.size)
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = float(_add(arr) / arr.size)
+        if math.isfinite(mean):
+            return mean
+        p = math.frexp(np.abs(arr).max())[1]
+        return float(np.ldexp(_add(arr * math.ldexp(1.0, -p)) / arr.size, p))
 
 
 def sample_variance(values) -> float:
-    """Unbiased sample variance (divisor N - 1)."""
+    """Unbiased sample variance (divisor N - 1), inf only where the
+    variance itself is past the float range."""
     arr = _as_sample(values, min_len=2, what="variance sample")
-    mu = np.sum(arr) / arr.size
-    d = arr - mu
-    return float(np.sum(d * d) / (arr.size - 1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _window_variance(arr, np.empty(arr.size), ddof=1)
 
 
 def sample_median(values) -> float:
@@ -263,11 +286,9 @@ def bmid_variance(values, config: BmidConfig | None = None) -> float:
         mad_val = _mad_value(arr, med)
     if mad_val == 0.0:
         raise DegenerateScale("MAD is zero; biweight weights are undefined")
-    mads, sums = np.array([mad_val]), np.empty((1, 2))
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        k, big, back = _bmid_scale(mads, cfg.c)
-        _bmid_block(arr, [arr.size], np.array([med]), k, big, sums)
-        var, flat = _bmid_finish(arr.size, sums, k, back, mads)
+    var, flat = _bmid_rows(
+        arr, [arr.size], np.array([med]), np.array([mad_val]), cfg.c
+    )
     if flat[0]:
         raise DegenerateScale("biweight weights sum to zero; no point has |u| < 1")
     return float(var[0])

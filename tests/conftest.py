@@ -4,6 +4,7 @@ import collections
 import pytest
 
 import scaleshift.css
+import scaleshift.estimators
 
 
 @pytest.fixture()
@@ -13,7 +14,8 @@ def prefix_estimates(monkeypatch):
     robust scan, for full traces and the strided orientation pass alike,
     degenerate prefixes included."""
     counts = collections.Counter()
-    bmid_block, qcv_point = scaleshift.css._bmid_block, scaleshift.css._qcv_point
+    bmid_block = scaleshift.estimators._bmid_block
+    qcv_point = scaleshift.css._qcv_point
 
     def counting_block(values, ns, *args):
         counts["bmid"] += len(ns)
@@ -23,6 +25,6 @@ def prefix_estimates(monkeypatch):
         counts["qcv"] += 1
         return qcv_point(*args)
 
-    monkeypatch.setattr(scaleshift.css, "_bmid_block", counting_block)
+    monkeypatch.setattr(scaleshift.estimators, "_bmid_block", counting_block)
     monkeypatch.setattr(scaleshift.css, "_qcv_point", counting_point)
     return counts

@@ -21,6 +21,7 @@ from scaleshift import (
     robust_css,
 )
 import scaleshift.css as css_module
+import scaleshift.estimators as estimators_module
 from scaleshift.css import _mad_sorted, _robust_scan
 from scaleshift.detect import ORIENT_STRIDE, _chord_counts
 from scaleshift.estimators import QcvBounds, bmid_variance, mad, sample_median
@@ -224,35 +225,35 @@ def _bmid_cases(draw):
 
 
 class TestBmidBlocks:
-    """The BMID scan hands its prefixes to the kernel's chain a block at
-    a time and finishes every row in one step; whatever the blocks'
-    bounds, dense or strided, each row and
-    ``bmid_variance`` of its prefix equal a plain 1-D pass over that
-    prefix, and the scan equals the oracle, byte for byte and with no
-    numpy warning."""
+    """The BMID scan hands all its prefixes to one ``_bmid_rows`` call,
+    which runs the kernel's chain a block at a time and finishes every
+    row in one step; whatever the blocks' bounds, dense or strided, each
+    row and ``bmid_variance`` of its prefix equal a plain 1-D pass over
+    that prefix, and the scan equals the oracle, byte for byte and with
+    no numpy warning."""
 
     @staticmethod
     def _scan(x, spec, ns, cells):
         """The scan of ``x`` at ``ns`` under a ``cells`` budget, and its
         blocks: (lengths, variances, degenerate flags), the lengths as the
         block kernel saw them and each row's variance and flag as the
-        scan's one finishing step gave them."""
+        scan's one ``_bmid_rows`` call gave them."""
         block_ns, finished = [], []
-        block, finish = css_module._bmid_block, css_module._bmid_finish
+        block, rows = estimators_module._bmid_block, css_module._bmid_rows
 
         def recording_block(values, ns, *args):
             block_ns.append(list(ns))
             return block(values, ns, *args)
 
-        def recording_finish(*args):
-            finished.append(finish(*args))
+        def recording_rows(*args):
+            finished.append(rows(*args))
             return finished[-1]
 
         with warnings.catch_warnings(), pytest.MonkeyPatch.context() as mp:
             warnings.simplefilter("error")
-            mp.setattr(css_module, "BMID_BLOCK_CELLS", cells)
-            mp.setattr(css_module, "_bmid_block", recording_block)
-            mp.setattr(css_module, "_bmid_finish", recording_finish)
+            mp.setattr(estimators_module, "BMID_BLOCK_CELLS", cells)
+            mp.setattr(estimators_module, "_bmid_block", recording_block)
+            mp.setattr(css_module, "_bmid_rows", recording_rows)
             values, degenerate = _robust_scan(x, spec, ns.tolist())
         [(var, flat)] = finished
         blocks, start = [], 0
@@ -296,9 +297,10 @@ class TestBmidBlocks:
             ns = np.append(np.arange(2, n - 1, stride), n - 1)
         # one row a block, blocks of two rows at the longest prefixes, a
         # budget drawn anywhere up to one block, and the default
-        cells = data.draw(st.sampled_from(
-            [1, 2 * n, data.draw(st.integers(1, n * n)), css_module.BMID_BLOCK_CELLS]
-        ))
+        cells = data.draw(st.sampled_from([
+            1, 2 * n, data.draw(st.integers(1, n * n)),
+            estimators_module.BMID_BLOCK_CELLS,
+        ]))
         values, degenerate, blocks = self._scan(x, spec, ns, cells)
         self._check(x, spec, ns, values, degenerate, blocks)
         # the blocks cover ns in order, each within the budget (or one
@@ -320,7 +322,7 @@ class TestBmidBlocks:
         spec = ScaleEstimatorSpec.bmid(2.0)
         ns = np.arange(2, x.size + 1)
         values, degenerate, blocks = self._scan(
-            x, spec, ns, css_module.BMID_BLOCK_CELLS
+            x, spec, ns, estimators_module.BMID_BLOCK_CELLS
         )
         assert len(blocks) == 1
         mads = [mad(x[:n]) for n in ns]

@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scaleshift import (
     BmidConfig,
@@ -29,6 +31,36 @@ from scaleshift.simulate import make_rng
 # value computed by an independent direct transcription of the biweight
 # midvariance formula in a standalone script, frozen here
 BMID_1_TO_5_C9 = 2.2970639913576165
+
+
+def _plain_mean(arr):
+    """The mean as ``sample_mean`` gave it before its overflow rescue."""
+    return np.sum(arr) / arr.size
+
+
+def _plain_variance(arr):
+    """The two-pass variance as ``sample_variance`` gave it before it
+    shared QCV's kernel and its overflow rescue."""
+    mu = np.sum(arr) / arr.size
+    d = arr - mu
+    return np.sum(d * d) / (arr.size - 1)
+
+
+def _exact_mean_and_variance(x):
+    w = [Fraction(v) for v in x.tolist()]
+    mean = sum(w) / len(w)
+    return mean, sum((v - mean) ** 2 for v in w) / (len(w) - 1)
+
+
+def _assert_variance_near(got, exact):
+    """``got`` is ``exact`` to 1e-10, or inf where that is past the float
+    range."""
+    if exact > Fraction(np.finfo(float).max):
+        assert got == math.inf
+    elif exact:
+        assert abs(Fraction(got) / exact - 1) < 1e-10
+    else:
+        assert got == 0.0
 
 
 class TestSampleMean:
@@ -60,6 +92,100 @@ class TestSampleVariance:
     def test_too_short(self):
         with pytest.raises(InsufficientLength):
             sample_variance([1.0])
+
+
+class TestClassicalFloatLimits:
+    """``sample_mean`` and ``sample_variance`` keep the plain formulas'
+    bits wherever those are finite; where the sum or a squared deviation
+    overflows they rescale by a power of two, quietly, and the variance
+    is inf only where the variance itself is past the float range."""
+
+    @pytest.mark.parametrize(
+        "x, mean, var",
+        [
+            (np.full(8, 2.0**1023), 2.0**1023, 0.0),
+            (np.full(10, 1e308), 1e308, 0.0),
+            # the sum is inf - inf; the variance, about 1e614, overflows
+            (np.repeat([-1e307, 1e307], 160), 0.0, math.inf),
+        ],
+        ids=["2^1023", "1e308", "both-ways"],
+    )
+    def test_sum_past_the_float_range(self, x, mean, var):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert sample_mean(x) == mean
+            assert sample_variance(x) == var
+
+    @pytest.mark.parametrize("at", [0, 1, 500, 998, 999])
+    def test_one_squared_deviation_past_the_float_range(self, at):
+        # 1000 zeros and one 1e155, anywhere: its squared deviation
+        # overflows, the variance, 1e310 / 1000, does not; the rescue
+        # takes its power of two from the largest deviation, not from the
+        # sample's ends
+        x = np.zeros(1000)
+        x[at] = 1e155
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = sample_variance(x)
+        assert abs(Fraction(got) / (Fraction(1e155) ** 2 / 1000) - 1) < 1e-12
+        assert sample_mean(x) == 1e152
+
+    def test_near_limit_samples_match_exact_values(self):
+        # unsorted samples whose sum or squared deviations overflow,
+        # though the mean and variance may not
+        rng = make_rng(30)
+        for i in range(200):
+            n = int(rng.integers(2, 41))
+            kind = i % 4
+            if kind == 0:  # one huge level and one extreme value
+                x = np.full(n, rng.uniform(0.1, 1.0) * 1.79e308)
+                x[rng.integers(n)] = -1.79e308
+            elif kind == 1:  # a spread across the whole float range
+                x = rng.uniform(-1.0, 1.0, n) * 1.79e308
+            elif kind == 2:  # two levels some 1e154 apart
+                x = (rng.random(n) < 0.3) * 10.0 ** rng.uniform(153, 155)
+            else:  # every value near the limit
+                x = rng.uniform(0.5, 1.0, n) * 1.79e308
+            mean, var = _exact_mean_and_variance(x)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got_mean, got_var = sample_mean(x), sample_variance(x)
+            assert abs(Fraction(got_mean) - mean) <= n * 2.0**-52 * np.abs(x).max()
+            _assert_variance_near(got_var, var)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.one_of(
+            st.lists(
+                st.floats(allow_nan=False, allow_infinity=False)
+                | st.floats(-1e6, 1e6),
+                min_size=2,
+                max_size=300,
+            ),
+            # near the float limit, where the sum overflows
+            st.lists(
+                st.floats(1e306, 1.79e308) | st.floats(-1.79e308, -1e306),
+                min_size=2,
+                max_size=300,
+            ),
+            st.lists(st.floats(1e306, 1.79e308), min_size=2, max_size=300),
+        )
+    )
+    def test_plain_formula_bits_where_finite(self, values):
+        x = np.asarray(values)
+        with np.errstate(all="ignore"):
+            plain_mean, plain_var = _plain_mean(x), _plain_variance(x)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got_mean, got_var = sample_mean(x), sample_variance(x)
+        if np.isfinite(plain_mean):
+            assert np.float64(got_mean).tobytes() == plain_mean.tobytes()
+        else:
+            assert math.isfinite(got_mean)
+        if np.isfinite(plain_var):
+            assert np.float64(got_var).tobytes() == plain_var.tobytes()
+        else:
+            _assert_variance_near(got_var, _exact_mean_and_variance(x)[1])
 
 
 class TestSampleMedian:
@@ -247,6 +373,44 @@ class TestBmidVariance:
             BmidConfig(c=-1.0)
         with pytest.raises(InvalidParameter, match="finite"):
             BmidConfig(c=math.inf)
+
+
+_BMID_LIMIT_CASES = pytest.mark.parametrize(
+    "x, c, exact",
+    [
+        # the two points at +-1 weigh in, but their u^2 underflows to 0
+        ([1e300, -1e300, 1.0, -1.0], 2.0, 2.0),
+        # u^2 underflows for every point
+        (np.arange(-4.0, 5.0), 1e300, 6.666666666666667),
+        # c * MAD is past the float range even after the 2^-64 rescale,
+        # so k is inf, every u is 0 and the result 0 * inf, though the
+        # variance is finite
+        (np.arange(-4.0, 5.0) * 1e30, 1e300, 6.666666666666667e60),
+    ],
+    ids=["some-u2-underflow", "every-u2-underflow", "k-overflow"],
+)
+
+
+class TestBmidFloatLimits:
+    """Open defects of the BMID kernel, ``_bmid_rows``, at the float
+    limits: the value it gives against the exact one, the textbook sums
+    in rational arithmetic about the float median and MAD."""
+
+    @_BMID_LIMIT_CASES
+    def test_exact_value(self, x, c, exact):
+        assert float(_textbook_bmid(np.asarray(x), c)) == exact
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=AssertionError,
+        reason="u^2 underflows to 0, or k overflows past the 2^-64 rescale",
+    )
+    @_BMID_LIMIT_CASES
+    def test_gives_the_exact_value(self, x, c, exact):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = bmid_variance(x, BmidConfig(c))
+        assert abs(got / exact - 1) < 1e-13
 
 
 class TestQcvVariance:
