@@ -7,8 +7,10 @@ q = 16 − floor(log10 |x|).  :func:`round17` takes the product in
 double-double arithmetic: 10^q is held as a pair hi + lo, hi split into
 halves of 26 and 27 bits so that Dekker's product of |x| and hi is exact,
 and y is known to better than 2^-47.  A value whose nearest integer this
-cannot prove goes to the ``%`` formatting instead, so the kernel prints
-no digit it has not proved (Loitsch's fast path with an exact fallback).
+cannot prove, or whose y lies outside [10^16, 10^17) because the
+exponent estimate is one off, goes to the ``%`` formatting instead, so
+the kernel prints no digit it has not proved (Loitsch's fast path with
+an exact fallback).  A NaN is an empty cell.
 
 Each cell is laid out in fixed places with pad bytes among the text, and
 a row drops its pad bytes at the end.  A float cell is four
@@ -22,7 +24,9 @@ little-endian words:
 
 A point after digit s + 1 moves digits 1..s+1 down one byte and takes
 the place of digit s + 1.  Word masks indexed by the count of digits
-shown and by s do all of this, so no per-byte gather is needed.
+shown and by s do all of this, so no per-byte gather is needed.  Every
+mask, the reader's too, is a span of one byte value over a cell's 24
+places (:func:`_masks`).
 
 :func:`read_decimals` runs the other way (Clinger's fast path, widened
 as in Lemire's "Number parsing at a gigabyte per second").  The last 24
@@ -84,16 +88,13 @@ def _word(text: bytes, at: int = 0) -> int:
     return int.from_bytes(b"\0" * at + text, "little")
 
 
-def _words(rows: list[dict[int, int]]) -> np.ndarray:
-    """Words 0..2 of a cell for each row of ``rows`` (byte place -> byte),
-    as a (3, len(rows)) array."""
-    out = []
-    for row in rows:
-        cell = bytearray(24)
-        for i, char in row.items():
-            cell[i] = char
-        out.append([_word(bytes(cell[j : j + 8])) for j in (0, 8, 16)])
-    return np.array(out, dtype="<u8").view("<i8").T.copy()
+def _masks(byte: int, lo, hi) -> np.ndarray:
+    """Words 0..2 of 24-byte rows, row i holding ``byte`` at places
+    ``lo[i]``..``hi[i] - 1`` and 0 elsewhere, as a (3, rows) array;
+    ``lo`` and ``hi`` broadcast, and a span with ``hi <= lo`` is empty."""
+    places = np.arange(24)
+    span = (places >= np.asarray(lo)[..., None]) & (places < np.asarray(hi)[..., None])
+    return (span * np.uint8(byte)).view("<u8").T.copy()
 
 
 def _power(q: int) -> tuple[float, float]:
@@ -128,7 +129,7 @@ def _tables() -> _Tables:
     digits = np.frombuffer(b"".join(text), np.uint8).reshape(-1, 4)
     nonzero = digits[:, ::-1] != ord("0")
     exps = range(-_EXP_OFFSET, _EXP_OFFSET)
-    ff, dot = 0xFF, ord(".")
+    i = np.arange(18)  # by the count of digits shown, or by s
     return _frozen(_Tables(
         four=digits.view("<u4")[:, 0].astype("<i8"),
         lead=np.frombuffer(
@@ -142,9 +143,9 @@ def _tables() -> _Tables:
         suffix=np.array(
             [0 if -4 <= k <= 16 else _word(b"e%+03d" % k) for k in exps], dtype="<i8"
         ),
-        keep=_words([{7 + i: ff for i in range(1, n)} for n in range(18)])[1:],
-        move=_words([{7 + i: ff for i in range(s + 1)} for s in range(17)] + [{}]),
-        point=_words([{7 + s: dot} for s in range(17)] + [{}]),
+        keep=_masks(0xFF, 8, 7 + i)[1:].view("<i8"),
+        move=_masks(0xFF, 7, np.where(i < _NO_POINT, 8 + i, 0)).view("<i8"),
+        point=_masks(ord("."), 7 + i, 8 + i).view("<i8"),  # none at _NO_POINT
     ))
 
 
@@ -160,13 +161,6 @@ def _product(a: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return p, r
 
 
-def _digits17(a: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The integer part and the fraction of y = a·10^(16 - e)."""
-    p, r = _product(a, 16 - _Q_LO - e)
-    whole = np.floor(r)
-    return p.astype(np.int64) + whole.astype(np.int64), r - whole
-
-
 def round17(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The 17 significant digits d (an integer in [10^16, 10^17)) and the
     decimal exponent e of each value of ``x``, and whether they are
@@ -174,41 +168,34 @@ def round17(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
     Not proved, and meant for the ``%`` fallback, are values outside
     ``[SAFE_LO, SAFE_HI)`` (zeros, subnormals, the largest values, inf
-    and NaN among them), values whose y rounds past 10^17 (log10 was one
-    low), and values whose fraction of y lies within ``TIE`` of 1/2.  A y
-    under 10^16 (log10 was one high) is taken again one exponent lower,
-    and a y that rounds to 10^17 is 10^16 one exponent higher.  Each rule
-    is decided on the unrounded y, whose error is far below ``TIE``.
-    Where not proved, d is 10^16 and e is 0.
+    and NaN among them), values whose fraction of y lies within ``TIE``
+    of 1/2, and values whose y has an integer part under 10^16 or rounds
+    to 10^17 or more.  Those last are where floor(log10 |x|) is one off,
+    where y is at or just under 10^17, and exact powers of ten whose y,
+    10^16, is taken a hair low (1e20).  The error of the unrounded y is
+    far below ``TIE``.  Where not proved, d is 10^16 and e is 0.
     """
     a = np.abs(x)
     ok = (a >= SAFE_LO) & (a < SAFE_HI)
     a = np.where(ok, a, 1.0)
     e = np.floor(np.log10(a)).astype(np.int64)
-    d, frac = _digits17(a, e)
-    # log10 rounds up to k for some doubles just below 10^k: floor(log10)
-    # is then one high, and y falls under 10^16.  Above 10^16 - 0.05 the
-    # digits at e - 1 round to 10^17, which is 10^16 at e.
-    low = (_LO17 - d) - frac > 0.01
-    if low.any():
-        e[low] -= 1
-        d[low], frac[low] = _digits17(a[low], e[low])
+    p, r = _product(a, 16 - _Q_LO - e)
+    whole = np.floor(r)
+    d = p.astype(np.int64) + whole.astype(np.int64)
+    frac = r - whole
+    ok &= (d >= _LO17) & (np.abs(frac - 0.5) > TIE)
     d += frac > 0.5
-    ok &= (d >= _LO17) & (d <= _HI17) & (np.abs(frac - 0.5) > TIE)
-    # y rounds to 10^17, which is 10^16 one exponent higher
-    carry = d == _HI17
-    d[carry] = _LO17
-    e[carry] += 1
+    ok &= d < _HI17
     d[~ok] = _LO17
     e[~ok] = 0
     return d, e, ok
 
 
-def float_cells(x: np.ndarray, empty_nan: bool) -> np.ndarray:
+def float_cells(x: np.ndarray) -> np.ndarray:
     """``'%.17g' % v`` for every v in ``x``, as an (n, 24) or (n, 32)
-    byte array with ``PAD`` bytes among the text; with ``empty_nan`` a
-    NaN is an empty cell.  Zeros take the fast path as the digits 0 at
-    exponent 0; :func:`round17` names what goes to ``%``."""
+    byte array with ``PAD`` bytes among the text, but a NaN is an empty
+    cell.  Zeros take the fast path as the digits 0 at exponent 0;
+    :func:`round17` names what goes to ``%``."""
     t = _tables()
     d, e, ok = round17(x)
     zero = x == 0
@@ -250,22 +237,20 @@ def float_cells(x: np.ndarray, empty_nan: bool) -> np.ndarray:
         words[:, 3] = suffix
 
     cells = words.view(np.uint8)
-    if empty_nan:
-        nan = np.isnan(x)
-        cells[nan] = PAD
-        zero |= nan
+    nan = np.isnan(x)
+    cells[nan] = PAD
     # every % text fits in 24 bytes: "-1.2345678901234567e-308"
-    for i in np.flatnonzero(~(ok | zero)):
+    for i in np.flatnonzero(~(ok | zero | nan)):
         text = ("%.17g" % x[i]).encode()
         cells[i] = np.frombuffer(text.ljust(cells.shape[1], b"\0"), np.uint8)
     return cells
 
 
 def int_cells(v: np.ndarray) -> np.ndarray:
-    """``'%d' % i`` for every i in ``v``, as an (n, width) byte array
-    with ``PAD`` bytes among the text."""
+    """``'%d' % i`` for every non-negative i in ``v``, as an (n, width)
+    byte array with ``PAD`` bytes among the text."""
     t = _tables()
-    mag = np.abs(v).astype(np.uint64)  # exact for every int64
+    mag = v.astype(np.uint64)
     groups = (len(str(int(mag.max(initial=0)))) + 3) // 4
     words = np.empty((v.size, groups), dtype="<i4")
     for j in range(groups - 1, -1, -1):
@@ -276,21 +261,17 @@ def int_cells(v: np.ndarray) -> np.ndarray:
         word = np.where(higher > 0, t.four[g], t.lead[g])
         words[:, j] = word if j == groups - 1 else np.where(mag > 0, word, PAD)
         mag = higher
-    cells = np.empty((v.size, 4 * groups + 1), dtype=np.uint8)
-    cells[:, 0] = np.where(v < 0, _MINUS, PAD)
-    cells[:, 1:] = words.view(np.uint8)
-    return cells
+    return words.view(np.uint8)
 
 
 def rows_text(columns: list[np.ndarray]) -> str:
     """One CSV line per row of ``columns``: integer columns by ``%d``,
-    float columns by ``%.17g``, comma-separated, each line ending in
-    CRLF; a NaN in the last column is an empty cell."""
-    last = len(columns) - 1
+    float columns by ``%.17g`` with a NaN as an empty cell,
+    comma-separated, each line ending in CRLF."""
     cells = [
         int_cells(col) if np.issubdtype(col.dtype, np.integer)
-        else float_cells(col.astype(np.float64, copy=False), j == last)
-        for j, col in enumerate(columns)
+        else float_cells(col.astype(np.float64, copy=False))
+        for col in columns
     ]
     out = np.empty((columns[0].size, sum(c.shape[1] + 1 for c in cells) + 1), np.uint8)
     at = 0
@@ -326,10 +307,8 @@ def _suffix_masks() -> tuple[np.ndarray, np.ndarray]:
     """(3, 25) arrays of words 0..2 of a 24-byte window: column t of
     ``keep`` has 0xFF in the window's last t bytes, and the same column of
     ``fill`` has "0" in its other bytes."""
-    last = np.arange(_WINDOW) >= _WINDOW - np.arange(_WINDOW + 1)[:, None]
-    keep = (last * np.uint8(0xFF)).view("<u8").T.copy()
-    fill = (~last * np.uint8(ord("0"))).view("<u8").T.copy()
-    return _frozen((keep, fill))
+    first = _WINDOW - np.arange(_WINDOW + 1)
+    return _frozen((_masks(0xFF, first, _WINDOW), _masks(ord("0"), 0, first)))
 
 
 def _bytes_equal(words: np.ndarray, byte: int) -> np.ndarray:

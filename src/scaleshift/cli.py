@@ -580,9 +580,10 @@ def _write_trace_csv(path, result: DetectionResult) -> None:
 
 def _write_rows(fh, header: str, *columns: np.ndarray) -> None:
     """Write ``header``, then one line per i = 1..N: i, then the i-th entry
-    of each column, as ``%d`` writes an integer column and ``%.17g`` a
-    float one.  Lines end in CRLF, as ``csv.writer`` ends its rows, and a
-    NaN in the last column is written as an empty cell.
+    of each column, as ``%d`` writes a non-negative integer column and
+    ``%.17g`` a float one.  Lines end in CRLF, as ``csv.writer`` ends its
+    rows, and a NaN is written as an empty cell: of the columns written
+    here, only a trace's statistic holds one.
 
     Each block of ``TRACE_BLOCK_ROWS`` rows is formatted by numpy
     (:mod:`scaleshift._csvrows`), so the text of no more than one block

@@ -214,16 +214,6 @@ def _bmid_scan(arr: np.ndarray, ns, meds: np.ndarray, c: float):
     return _bmid_rows(arr, ns, meds, mads, c)
 
 
-def _qcv_point(window: np.ndarray, d: np.ndarray) -> tuple[float, bool]:
-    """QCV variance of a prefix from ``window``, its QCV window in the
-    sorted prefix, with ``d`` the scan's deviation buffer; and whether
-    the prefix is degenerate (fewer than two points in the window,
-    variance 0 substituted)."""
-    if window.size < 2:
-        return 0.0, True
-    return _window_variance(window, d), False
-
-
 def _qcv_scan(arr: np.ndarray, ns, lengths, meds: np.ndarray, bounds: QcvBounds):
     """QCV variances and degenerate flags of the prefixes of ``arr`` at
     the lengths ``ns``, a list, and ``lengths``, the same as an array;
@@ -233,18 +223,20 @@ def _qcv_scan(arr: np.ndarray, ns, lengths, meds: np.ndarray, bounds: QcvBounds)
     When ``ns`` is every n from 2 on, each point is bisected into a sorted
     list and shifted into ``buf``; when the lengths are spaced, ``buf[:n]``
     is sorted in place, and the stable sort merges the new points into
-    the sorted run before them.  Each prefix's variance comes from its
-    window by :func:`_qcv_point`, with one deviation buffer for the scan.
+    the sorted run before them.  A prefix whose window holds fewer than
+    two points is degenerate, with variance 0; every other prefix's
+    variance is :func:`_window_variance` of its window, with one
+    deviation buffer for the scan.
     """
     count = len(ns)
     dense = count == ns[-1] - 1
     values = arr.tolist()
     keys = values[:1]
     buf, d = arr.copy(), np.empty(arr.size)
-    var = np.empty(count)
-    flat = np.empty(count, dtype=bool)
     los, his = bounds.window(lengths)
-    for i, n in enumerate(ns):
+    flat = np.subtract(his, los) < 2
+    var = np.zeros(count)
+    for i, (n, skip) in enumerate(zip(ns, flat.tolist())):
         if dense:
             x = values[n - 1]
             pos = bisect_left(keys, x)
@@ -256,7 +248,8 @@ def _qcv_scan(arr: np.ndarray, ns, lengths, meds: np.ndarray, bounds: QcvBounds)
             prefix = buf[:n]
             prefix.sort(kind="stable")
         meds[i] = _median_sorted(prefix)
-        var[i], flat[i] = _qcv_point(buf[los[i] : his[i]], d)
+        if not skip:
+            var[i] = _window_variance(buf[los[i] : his[i]], d)
     return var, flat
 
 

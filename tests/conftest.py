@@ -10,21 +10,21 @@ import scaleshift.estimators
 @pytest.fixture()
 def prefix_estimates(monkeypatch):
     """Counter of robust prefix estimates by estimator kind: the rows of
-    the BMID blocks and the calls of the QCV per-prefix evaluation in the
-    robust scan, for full traces and the strided orientation pass alike,
-    degenerate prefixes included."""
+    the BMID blocks and the prefix lengths of the QCV scans, for full
+    traces and the strided orientation pass alike, degenerate prefixes
+    included."""
     counts = collections.Counter()
     bmid_block = scaleshift.estimators._bmid_block
-    qcv_point = scaleshift.css._qcv_point
+    qcv_scan = scaleshift.css._qcv_scan
 
     def counting_block(values, ns, *args):
         counts["bmid"] += len(ns)
         return bmid_block(values, ns, *args)
 
-    def counting_point(*args):
-        counts["qcv"] += 1
-        return qcv_point(*args)
+    def counting_scan(values, ns, *args):
+        counts["qcv"] += len(ns)
+        return qcv_scan(values, ns, *args)
 
     monkeypatch.setattr(scaleshift.estimators, "_bmid_block", counting_block)
-    monkeypatch.setattr(scaleshift.css, "_qcv_point", counting_point)
+    monkeypatch.setattr(scaleshift.css, "_qcv_scan", counting_scan)
     return counts

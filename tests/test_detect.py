@@ -345,6 +345,28 @@ class TestDetectWithOrientation:
         raw = icss_detect(rev_trace)
         assert res.change_point == 400 - raw.change_point + 1
 
+    @pytest.mark.xfail(
+        strict=True,
+        raises=AssertionError,
+        reason="a reversed scan maps raw index n to N - n + 1, one past the mirror",
+    )
+    @pytest.mark.parametrize(
+        "spec", [ScaleEstimatorSpec.bmid(), ScaleEstimatorSpec.classical()],
+        ids=["bmid", "classical"],
+    )
+    def test_mirrored_change_points_sum_to_n(self, spec):
+        # the change point is a boundary, so the mirror of index n is
+        # N - n: a series and its reversal must give indices summing to N
+        sums = []
+        for seed in range(10):
+            x = np.random.default_rng(seed).standard_normal(1000)
+            x[500:] *= 3
+            sums.append(sum(
+                detect_oriented(orient(s, spec, orientation="on"), METHOD_ICSS)
+                .change_point for s in (x, x[::-1])
+            ))
+        assert sums == [1000] * 10
+
     def test_no_change_contract(self):
         x = make_rng(5).standard_normal(200)
         res = detect_oriented(orient(x), METHOD_ICSS)
@@ -708,6 +730,34 @@ class TestScaleEquivariance:
                         b.constant_prefix_fallback) == (
                     a.change_point, a.reversed_applied,
                     a.constant_prefix_fallback)
+
+
+class TestTinyScaleOls:
+    """At 1e-90 the data is far inside the float range, yet OLS answers
+    differently from scale 1, with no warning and no error: its
+    detrended squares underflow.  The scale-1 answers are what scaling
+    must leave in place."""
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=AssertionError,
+        reason="OLS's squared residuals underflow, and it exits with index 2 or N - 1",
+    )
+    @pytest.mark.parametrize(
+        "spec, want",
+        [(ScaleEstimatorSpec.classical(), 537), (ScaleEstimatorSpec.bmid(), 536),
+         (ScaleEstimatorSpec.qcv(), 522)],
+        ids=["classical", "bmid", "qcv"],
+    )
+    def test_ols_answers_as_at_scale_one(self, spec, want):
+        x = np.random.default_rng(3).standard_normal(1000)
+        x[500:] *= 1.5
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if detect_oriented(orient(x, spec), METHOD_OLS).change_point != want:
+                pytest.fail("the scale-1 answer moved")  # not the pinned defect
+            got = detect_oriented(orient(x * 1e-90, spec), METHOD_OLS).change_point
+        assert got == want
 
 
 class TestNonFiniteTrace:
